@@ -88,7 +88,10 @@ def _parse_xi(text: str) -> tuple:
     for p in parts:
         p = p.strip()
         if "/" in p or ("." not in p and "e" not in p.lower()):
-            out.append(Fraction(p))
+            try:
+                out.append(Fraction(p))
+            except ZeroDivisionError:
+                raise ValueError(f"--xi has a zero denominator: {text!r}") from None
         else:
             out.append(float(p))
     return tuple(out)
@@ -244,6 +247,8 @@ def cmd_oracle(cfg: SystemConfig, args, report: Report) -> int:
 
 
 def cmd_emit(cfg: SystemConfig, args, report: Report) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
     sys_ = cfg.system()
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)

@@ -120,12 +120,6 @@ def validate_structured(alpha, beta) -> StructuredDigitSet:
     return StructuredDigitSet(tuple(alpha), tuple(beta))
 
 
-def as_generic(d: DigitSet) -> GenericDigitSet:
-    if isinstance(d, GenericDigitSet):
-        return d
-    return GenericDigitSet(d.points())
-
-
 def sum_set(d1: DigitSet, d2: DigitSet) -> GenericDigitSet:
     """Pointwise sumset {a + b}; rejects collisions instead of collapsing them.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 Vec2 = tuple[Scalar, Scalar]
@@ -41,11 +41,6 @@ class Mat2:
     @staticmethod
     def scalar(t: Scalar) -> "Mat2":
         return Mat2(t, 0, 0, t)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Mat2":
-        (a, b), (c, d) = rows
-        return Mat2(a, b, c, d)
 
     @staticmethod
     def from_columns(col1: Vec2, col2: Vec2) -> "Mat2":
@@ -104,9 +99,6 @@ class Mat2:
 
     def as_float_rows(self) -> list[list[float]]:
         return [[float(self.a), float(self.b)], [float(self.c), float(self.d)]]
-
-
-IDENTITY = Mat2.identity()
 
 
 def det(m: Mat2) -> Scalar:
@@ -269,8 +261,3 @@ def inverse_norm_upper(m: Mat2) -> Fraction:
     if direct > sig_min_sq_low:
         sig_min_sq_low = direct
     return sqrt_upper(Fraction(1) / sig_min_sq_low)
-
-
-def norm_sq(v: Vec2) -> Scalar:
-    x, y = v
-    return x * x + y * y

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .digitsets import DigitSet, StructuredDigitSet
 from .lattice import Mat2, Vec2
@@ -118,14 +118,6 @@ class UnityRootSum:
             counts[f] = counts.get(f, 0) + 1
         return UnityRootSum(tuple(sorted(counts.items())))
 
-    @staticmethod
-    def from_counts(counts: Mapping) -> "UnityRootSum":
-        acc: dict[Fraction, int] = {}
-        for e, c in counts.items():
-            f = Fraction(e) % 1
-            acc[f] = acc.get(f, 0) + int(c)
-        return UnityRootSum(tuple(sorted((e, c) for e, c in acc.items() if c)))
-
     def total(self) -> int:
         return sum(c for _, c in self.counts)
 
@@ -183,27 +175,49 @@ def unity_sum_is_zero_ints(numerators: Iterable[int], q: int) -> bool:
 # --- exact mask zero tests -------------------------------------------------
 
 
-def _rational_vec(xi) -> tuple[Fraction, Fraction]:
-    return (Fraction(xi[0]), Fraction(xi[1]))
+def rational_vec(xi) -> tuple[Fraction, Fraction]:
+    # Fraction(c) would re-validate a Fraction through the numbers ABCs,
+    # which costs more than a level of the exact zero scan.
+    x, y = xi
+    return (
+        x if type(x) is Fraction else Fraction(x),
+        y if type(y) is Fraction else Fraction(y),
+    )
+
+
+def over_common_denominator(xi) -> tuple[int, int, int]:
+    """(nx, ny, den) with xi = (nx, ny) / den exactly and den > 0 the lcm of
+    the coordinates' denominators."""
+    x, y = rational_vec(xi)
+    den = math.lcm(x.denominator, y.denominator)
+    return (
+        x.numerator * (den // x.denominator),
+        y.numerator * (den // y.denominator),
+        den,
+    )
+
+
+def structured_zero_ints(digits: StructuredDigitSet, nx: int, ny: int, den: int) -> bool:
+    """Exact zero test for structured sets at xi = (nx, ny) / den, den > 0:
+    2 Q^t xi must be an integer vector outside 2 Z^2 (via
+    m_D(xi) = m_D0(Q^t xi)), decided on integer numerators alone."""
+    ax, ay = digits.alpha
+    bx, by = digits.beta
+    u = 2 * (ax * nx + ay * ny)
+    v = 2 * (bx * nx + by * ny)
+    if u % den or v % den:
+        return False
+    return (u // den) % 2 == 1 or (v // den) % 2 == 1
 
 
 def mask_zero_exact(digits: StructuredDigitSet, xi) -> bool:
-    """Exact zero test for structured sets: 2 Q^t xi must be an integer
-    vector outside 2 Z^2 (via m_D(xi) = m_D0(Q^t xi))."""
-    x, y = _rational_vec(xi)
-    ax, ay = digits.alpha
-    bx, by = digits.beta
-    u = 2 * (ax * x + ay * y)
-    v = 2 * (bx * x + by * y)
-    if u.denominator != 1 or v.denominator != 1:
-        return False
-    ui, vi = int(u), int(v)
-    return not (ui % 2 == 0 and vi % 2 == 0)
+    """`structured_zero_ints` at a rational point."""
+    return structured_zero_ints(digits, *over_common_denominator(xi))
 
 
 def mask_zero_exact_generic(digits: DigitSet, xi) -> bool:
     """Exact zero test for any finite digit set and rational xi."""
-    x, y = _rational_vec(xi)
+    x, y = rational_vec(xi)
     return unity_sum_is_zero((dx * x + dy * y) % 1 for dx, dy in digits.points())
 
 

@@ -11,7 +11,8 @@ Two evaluation paths coexist:
 * `fourier`      - double-precision truncated product with a certified tail
                    bound from |1 - m_D(eta)| <= 2 pi max||d|| ||eta|| and the
                    geometric decay of ||eta_j||;
-* `fourier_zero_exact` - exact rational scan of the orbit that either
+* `fourier_zero_exact` - exact scan of the orbit, carried as integer
+                   numerators over one reduced denominator, that either
                    produces a level-j witness in Z(m_{D_j}) or proves no
                    level can vanish because ||eta_j|| fell below the minimal
                    norm any mask zero must have.
@@ -33,11 +34,17 @@ from .lattice import (
     is_expanding,
     in_gl2_2z,
     inverse_norm_below_one,
-    norm_sq,
     operator_norm_upper,
     sqrt_upper,
 )
-from .mask import digit_mask_zero, eval_mask
+from .mask import (
+    digit_mask_zero,
+    eval_mask,
+    mask_zero_exact_generic,
+    over_common_denominator,
+    rational_vec,
+    structured_zero_ints,
+)
 
 Level = tuple[Mat2, DigitSet]
 
@@ -163,7 +170,8 @@ def conjugate_system(sys: MoranSystem, q: Mat2) -> MoranSystem:
 class _LevelData:
     matrix: Mat2
     digits: DigitSet
-    minv_t: Mat2                      # exact (M^*)^{-1}
+    minv_t_num: tuple[int, int, int, int]  # (M^*)^{-1} = minv_t_num / minv_t_den
+    minv_t_den: int                   # exactly, with minv_t_den > 0
     minv_t_float: tuple[float, float, float, float]
     inv_norm_up: Fraction             # certified >= ||M^{-1}||
     gamma_up: Fraction                # certified >= max ||d||
@@ -181,6 +189,11 @@ class _Analysis:
     anchor_tail_sum_up: Fraction      # certified >= sum of phase-0 run norms
     gamma_up: Fraction                # certified >= max over levels max ||d||
     zero_floor_sq: Fraction           # min over levels of zero_norm_sq_floor
+    # The zero scan's stop test ||eta||^2 G^2 < zero_floor_sq (G the period
+    # growth bound) on eta = (nx, ny) / den, cross-multiplied to integers:
+    # (nx^2 + ny^2) * stop_scale < stop_floor * den^2.
+    stop_scale: int
+    stop_floor: int
 
     def level_data(self, n: int) -> _LevelData:
         p = self.preperiod_len
@@ -204,17 +217,22 @@ def _zero_norm_floor(digits: DigitSet) -> Fraction:
 @lru_cache(maxsize=256)
 def _analysis(sys: MoranSystem) -> _Analysis:
     levels = []
+    inverses = []
     for m, d in sys.distinct_levels():
         if m.det() == 0:
             raise SystemInvalid("system matrix is singular")
         minv_t = m.transpose().inverse()
+        inverses.append(minv_t)
+        entries = minv_t.entries()
+        den = math.lcm(*(e.denominator for e in entries))
         fr = minv_t.as_float_rows()
         floor = _zero_norm_floor(d)
         levels.append(
             _LevelData(
                 matrix=m,
                 digits=d,
-                minv_t=minv_t,
+                minv_t_num=tuple(e.numerator * (den // e.denominator) for e in entries),
+                minv_t_den=den,
                 minv_t_float=(fr[0][0], fr[0][1], fr[1][0], fr[1][1]),
                 inv_norm_up=inverse_norm_upper(m),
                 gamma_up=sqrt_upper(d.max_norm_sq()),
@@ -222,7 +240,7 @@ def _analysis(sys: MoranSystem) -> _Analysis:
             )
         )
     p = len(sys.preperiod)
-    period = levels[p:]
+    period = inverses[p:]
     r = len(period)
     # Orbit norms in the periodic region are bounded by certified operator
     # norms of the EXACT consecutive inverse products: a run of i = c*L + s
@@ -242,7 +260,7 @@ def _analysis(sys: MoranSystem) -> _Analysis:
             acc = Mat2.identity()
             phase_sum = Fraction(0)
             for step in range(1, length + 1):
-                acc = period[(phase + step - 1) % r].minv_t * acc
+                acc = period[(phase + step - 1) % r] * acc
                 bound = operator_norm_upper(acc)
                 phase_sum += bound
                 if bound > growth:
@@ -259,6 +277,7 @@ def _analysis(sys: MoranSystem) -> _Analysis:
             raise SystemInvalid(
                 "period inverse products do not contract (no unrolling below 256 works)"
             )
+    zero_floor_sq = min(l.zero_norm_sq_floor for l in levels)
     return _Analysis(
         levels=tuple(levels),
         preperiod_len=p,
@@ -267,7 +286,9 @@ def _analysis(sys: MoranSystem) -> _Analysis:
         period_growth_up=growth,
         anchor_tail_sum_up=tail_sum,
         gamma_up=max(l.gamma_up for l in levels),
-        zero_floor_sq=min(l.zero_norm_sq_floor for l in levels),
+        zero_floor_sq=zero_floor_sq,
+        stop_scale=growth.numerator**2 * zero_floor_sq.denominator,
+        stop_floor=zero_floor_sq.numerator * growth.denominator**2,
     )
 
 
@@ -420,7 +441,7 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
         if tail <= eps:
             return FourierResult(value, tail, j)
         if j >= MAX_SCAN_LEVELS:
-            raise RuntimeError("truncation level exceeded hard cap")
+            raise CapExceeded("truncation level exceeded hard cap")
         for _ in range(ana.unrolled_len):
             j += 1
             lv = ana.level_data(j)
@@ -463,22 +484,40 @@ def fourier_zero_exact(sys: MoranSystem, xi) -> Optional[ZeroCertificate]:
     product over the period, so when G ||eta_j|| drops below the smallest
     norm any mask zero can have, no later level can vanish and the scan
     stops with None.
+
+    The orbit is carried as integer numerators (nx, ny) over one denominator,
+    reduced by their gcd at every level; the structured closed-form zero test
+    and the stop test run on those integers.  Generic digit sets take the
+    cyclotomic route on the same point as Fractions.
     """
     ana = _analysis(sys)
-    growth_sq = ana.period_growth_up**2
-    eta = (Fraction(xi[0]), Fraction(xi[1]))
-    xi_frac = eta
+    xi = rational_vec(xi)
+    nx, ny, den = over_common_denominator(xi)
     j = 0
     while True:
         if j >= MAX_SCAN_LEVELS:
-            raise RuntimeError("zero scan exceeded hard cap")
+            raise CapExceeded("zero scan exceeded hard cap")
         j += 1
         lv = ana.level_data(j)
-        eta = lv.minv_t.apply(eta)
-        eta = (Fraction(eta[0]), Fraction(eta[1]))
-        if digit_mask_zero(lv.digits, eta):
-            return ZeroCertificate(level=j, witness=eta, xi=xi_frac)
-        if j >= ana.preperiod_len and norm_sq(eta) * growth_sq < ana.zero_floor_sq:
+        a, b, c, d = lv.minv_t_num
+        nx, ny, den = a * nx + b * ny, c * nx + d * ny, den * lv.minv_t_den
+        g = math.gcd(nx, ny, den)
+        if g > 1:
+            nx, ny, den = nx // g, ny // g, den // g
+        if isinstance(lv.digits, StructuredDigitSet):
+            hit = structured_zero_ints(lv.digits, nx, ny, den)
+        else:
+            hit = mask_zero_exact_generic(lv.digits, (Fraction(nx, den), Fraction(ny, den)))
+        if hit:
+            return ZeroCertificate(
+                level=j,
+                witness=(Fraction(nx, den), Fraction(ny, den)),
+                xi=xi,
+            )
+        if (
+            j >= ana.preperiod_len
+            and (nx * nx + ny * ny) * ana.stop_scale < ana.stop_floor * den * den
+        ):
             return None
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .classify import SPECTRAL, classify_thm16, thm16_shape
 from .digitsets import StructuredDigitSet
 from .lattice import Mat2, Vec2, in_gl2_2z
-from .mask import is_hadamard_triple, unity_sum_is_zero_ints
+from .mask import is_hadamard_triple, rational_vec, unity_sum_is_zero_ints
 from .moran import (
     CapExceeded,
     DEFAULT_POINT_CAP,
@@ -135,7 +135,10 @@ def build_lattice_spectrum(
     companion lattice is constructed for the system rescaled by 1/t2, and
     dividing by t2 transports it back to the unscaled measure.  Requires the
     divisibility criterion (verdict Spectral); otherwise OutOfTheoryError.
+    A negative box is a ValueError.
     """
+    if box < 0:
+        raise ValueError(f"box half-width must be >= 0, got {box}")
     shape = thm16_shape(sys)
     if shape is None:
         raise OutOfTheoryError("not a two-scale constant-tail scaled family")
@@ -188,29 +191,50 @@ class OrthogonalityResult:
         return self.ok
 
 
+def _integer_points(
+    points: Sequence[Vec2],
+) -> tuple[list[FracVec], list[tuple[int, int]], int]:
+    """The points as Fractions, their integer numerators over q, and q, the
+    lcm of every coordinate's denominator."""
+    pts = [rational_vec(p) for p in points]
+    q = math.lcm(*(c.denominator for p in pts for c in p))
+    ints = [(x.numerator * (q // x.denominator), y.numerator * (q // y.denominator))
+            for x, y in pts]
+    return pts, ints, q
+
+
 def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> OrthogonalityResult:
     """Certify that every difference of distinct points lies in the zero set.
 
-    Differences repeat heavily in lattice-like candidate sets, so verdicts
-    are memoized per difference (the zero set is symmetric under negation);
-    the first failing pair in enumeration order is reported.
+    The points are scaled once to integer numerators over one common
+    denominator q, and pairs are walked in enumeration order with integer
+    subtraction.  Differences repeat heavily in lattice-like candidate sets,
+    so verdicts are memoized per sign-canonical difference (the zero set is
+    symmetric under negation) and each distinct difference is certified by
+    `fourier_zero_exact` the first time it appears; the first failing pair in
+    enumeration order is reported.
     """
-    pts = [(Fraction(p[0]), Fraction(p[1])) for p in points]
-    if len(set(pts)) != len(pts):
+    pts, ints, q = _integer_points(points)
+    if len(set(ints)) != len(ints):
         raise ValueError("candidate spectrum has repeated points")
-    memo: dict[FracVec, bool] = {}
+    n = len(ints)
+    memo: dict[tuple[int, int], bool] = {}
     pairs = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            pairs += 1
-            diff = (pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
-            key = diff if diff > (Fraction(0), Fraction(0)) else (-diff[0], -diff[1])
+    for i, (xi, yi) in enumerate(ints):
+        for j in range(i + 1, n):
+            xj, yj = ints[j]
+            dx = xi - xj
+            dy = yi - yj
+            key = (dx, dy) if dx > 0 or (dx == 0 and dy > 0) else (-dx, -dy)
             verdict = memo.get(key)
             if verdict is None:
-                verdict = fourier_zero_exact(sys, key) is not None
-                memo[key] = verdict
+                cert = fourier_zero_exact(sys, (Fraction(key[0], q), Fraction(key[1], q)))
+                verdict = memo[key] = cert is not None
             if not verdict:
-                return OrthogonalityResult(False, (pts[i], pts[j]), pairs, len(memo))
+                return OrthogonalityResult(
+                    False, (pts[i], pts[j]), pairs + j - i, len(memo)
+                )
+        pairs += n - 1 - i
     return OrthogonalityResult(True, None, pairs, len(memo))
 
 
@@ -322,7 +346,7 @@ def discrete_spectrum_oracle(
     size = len(atoms)
     if len(set(atoms)) != size:
         raise ValueError("level-n convolution atoms collide; weights would merge")
-    pts = [(Fraction(p[0]), Fraction(p[1])) for p in candidate]
+    pts, pts_i, ql = _integer_points(candidate)
     if len(pts) != size:
         raise ValueError(f"candidate has {len(pts)} points, expected {size}")
 
@@ -331,28 +355,22 @@ def discrete_spectrum_oracle(
     h = np.exp(2j * np.pi * (a @ lam.T)) / math.sqrt(size)
     residual = float(np.abs(h.conj().T @ h - np.eye(size)).max())
 
-    # Exact off-diagonal vanishing over a common denominator.
-    qa = 1
-    for x, y in atoms:
-        qa = math.lcm(qa, x.denominator, y.denominator)
-    ql = 1
-    for x, y in pts:
-        ql = math.lcm(ql, x.denominator, y.denominator)
+    # Exact off-diagonal vanishing over a common denominator.  An inner
+    # product depends only on the difference of its two candidate points and
+    # vanishes together with its conjugate, so each distinct sign-canonical
+    # difference is tested once.
+    _, atoms_i, qa = _integer_points(atoms)
     q = qa * ql
-    atoms_i = [(int(x * qa), int(y * qa)) for x, y in atoms]
-    pts_i = [(int(x * ql), int(y * ql)) for x, y in pts]
-    exact_ok = True
-    for i in range(size):
-        if not exact_ok:
-            break
-        for j in range(i + 1, size):
-            dx = pts_i[i][0] - pts_i[j][0]
-            dy = pts_i[i][1] - pts_i[j][1]
-            if not unity_sum_is_zero_ints(
-                (ax * dx + ay * dy for ax, ay in atoms_i), q
-            ):
-                exact_ok = False
-                break
+    diffs = set()
+    for i, (xi, yi) in enumerate(pts_i):
+        for xj, yj in pts_i[i + 1:]:
+            dx = xi - xj
+            dy = yi - yj
+            diffs.add((dx, dy) if dx > 0 or (dx == 0 and dy > 0) else (-dx, -dy))
+    exact_ok = all(
+        unity_sum_is_zero_ints((ax * dx + ay * dy for ax, ay in atoms_i), q)
+        for dx, dy in diffs
+    )
 
     return OracleReport(
         unitary=bool(residual < tol and exact_ok),

@@ -156,6 +156,38 @@ class TestExitCodes:
         bad = HADAMARD_OK.replace(" 1,1", "")
         assert main(["hadamard", write(tmp_path, bad)]) == 2
 
+    def test_zero_denominator_xi_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, CONST_2I)
+        assert main(["zero", path, "--xi", "1/0,1"]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+        assert main(["fourier", path, "--xi", "0.5,3/0"]) == 2
+
+    def test_scan_caps_exit_4(self, tmp_path, monkeypatch, capsys):
+        from moranspectra import moran
+
+        path = write(tmp_path, CONST_2I)
+        monkeypatch.setattr(moran, "MAX_SCAN_LEVELS", 2)
+        assert main(["zero", path, "--xi", "1001/3,0"]) == 4
+        assert main(["fourier", path, "--xi", "0.3,0.7"]) == 4
+        assert "hard cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["emit", "--grid", "0"],
+            ["emit", "--grid", "-3"],
+            ["spectrum", "--kind", "lattice", "--box", "-1"],
+        ],
+    )
+    def test_bad_ranges_exit_2(self, tmp_path, capsys, argv):
+        outdir = tmp_path / "out"
+        args = [argv[0], write(tmp_path, CONST_2I), *argv[1:]]
+        if argv[0] == "emit":
+            args += ["--out", str(outdir)]
+        assert main(args) == 2
+        assert "invalid input" in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestCommands:
     def test_hadamard(self, tmp_path, capsys):

@@ -11,18 +11,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from moranspectra import moran
 from moranspectra.config import ConfigError, parse_config
-from moranspectra.digitsets import StructuredDigitSet, canonical_digits, scaled_canonical
+from moranspectra.digitsets import (
+    GenericDigitSet,
+    StructuredDigitSet,
+    canonical_digits,
+    scaled_canonical,
+    sum_set,
+)
 from moranspectra.lattice import Mat2, inverse_norm_below_one, is_expanding
-from moranspectra.mask import is_hadamard_triple
+from moranspectra.mask import is_hadamard_triple, mask_zero_exact_generic, unity_sum_is_zero
 from moranspectra.moran import (
     MoranSystem,
+    ZeroCertificate,
+    conjugate_system,
     fourier,
     fourier_zero_exact,
     reduce_canonical,
     validate,
 )
 from moranspectra.spectra import (
+    OrthogonalityResult,
     build_lattice_spectrum,
     build_tower,
     completeness_sum,
@@ -243,6 +253,190 @@ def test_validation_iota_close_to_certified_bound():
             continue
         sig = np.linalg.svd(np.array(m.as_float_rows()), compute_uv=False)
         assert float(inverse_norm_upper(m)) == pytest.approx(1.0 / sig.min(), rel=1e-9)
+
+
+# --- integer certification paths against Fraction references ---------------
+#
+# The references below walk pairs, orbits and inner products in plain
+# Fraction arithmetic, one exact test per pair or level, with nothing shared
+# with the integer paths in src/ except `_analysis`'s certified stop bounds
+# and the generic cyclotomic kernel.
+
+
+def _reference_zero_scan(sysm, xi):
+    """Fraction orbit scan with the structured closed form written out."""
+    ana = moran._analysis(sysm)
+    growth_sq = ana.period_growth_up**2
+    eta = xi_frac = (Fraction(xi[0]), Fraction(xi[1]))
+    j = 0
+    while True:
+        j += 1
+        m, d = sysm.level(j)
+        ex, ey = m.transpose().inverse().apply(eta)
+        eta = (Fraction(ex), Fraction(ey))
+        if isinstance(d, StructuredDigitSet):
+            u = 2 * (d.alpha[0] * eta[0] + d.alpha[1] * eta[1])
+            v = 2 * (d.beta[0] * eta[0] + d.beta[1] * eta[1])
+            hit = u.denominator == 1 and v.denominator == 1 and (u % 2, v % 2) != (0, 0)
+        else:
+            hit = mask_zero_exact_generic(d, eta)
+        if hit:
+            return ZeroCertificate(level=j, witness=eta, xi=xi_frac)
+        if j >= len(sysm.preperiod) and (eta[0] ** 2 + eta[1] ** 2) * growth_sq < ana.zero_floor_sq:
+            return None
+
+
+def _reference_orthogonality(sysm, points):
+    """The pairwise Fraction walk: every pair in enumeration order, verdicts
+    memoized on sign-canonical Fraction differences."""
+    pts = [(Fraction(p[0]), Fraction(p[1])) for p in points]
+    memo = {}
+    pairs = 0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            pairs += 1
+            diff = (pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+            key = diff if diff > (0, 0) else (-diff[0], -diff[1])
+            if key not in memo:
+                memo[key] = _reference_zero_scan(sysm, key) is not None
+            if not memo[key]:
+                return OrthogonalityResult(False, (pts[i], pts[j]), pairs, len(memo))
+    return OrthogonalityResult(True, None, pairs, len(memo))
+
+
+def _reference_oracle_exact(sysm, n, candidate):
+    """Every off-diagonal inner product of the level-n atoms and the
+    candidate, tested pair by pair as a Fraction root-of-unity sum."""
+    atoms = [(Fraction(0), Fraction(0))]
+    prefix = Mat2.identity()
+    for j in range(1, n + 1):
+        m, d = sysm.level(j)
+        prefix = prefix * m.inverse()
+        images = [prefix.apply(p) for p in d.points()]
+        atoms = [(ax + ix, ay + iy) for ax, ay in atoms for ix, iy in images]
+    pts = [(Fraction(x), Fraction(y)) for x, y in candidate]
+    return all(
+        unity_sum_is_zero(ax * (pi[0] - pj[0]) + ay * (pi[1] - pj[1]) for ax, ay in atoms)
+        for i, pi in enumerate(pts)
+        for pj in pts[i + 1:]
+    )
+
+
+SUM16 = sum_set(D0, GenericDigitSet(tuple((6 * x, 6 * y) for x, y in D0.points())))
+CROSS_SYSTEMS = {
+    "2I": MoranSystem.constant(I2, D0),
+    "4I": MoranSystem.constant(Mat2.scalar(4), D0),
+    "shear": MoranSystem.constant(Mat2(2, 2, 0, 2), D0),
+    "4224": MoranSystem.constant(Mat2(4, 2, 2, 4), D0),
+    "9to3": MoranSystem(((I2, scaled_canonical(9)),), ((I2, scaled_canonical(3)),)),
+    "mixed": MIXED,
+}
+UNIMODULAR = (Mat2(1, 1, 0, 1), Mat2(2, 1, 1, 1), Mat2(0, -1, 1, 0))
+
+
+def _planted(rng, points, denominators=range(3, 20)):
+    """The points in a shuffled order with one or two of them shifted by a
+    vector whose denominators are drawn from `denominators`."""
+    pts = list(points)
+    rng.shuffle(pts)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(pts))
+        shift = (Fraction(rng.randint(-9, 9), rng.choice(denominators)),
+                 Fraction(rng.randint(-9, 9), rng.choice(denominators)))
+        pts[i] = (pts[i][0] + shift[0], pts[i][1] + shift[1])
+    return pts
+
+
+def test_orthogonality_matches_fraction_pair_walk():
+    """All four fields of OrthogonalityResult, failing pair and counts at the
+    failure included, on conjugated towers with planted rational shifts."""
+    rng = random.Random(303)
+    outcomes = set()
+    for name, base in CROSS_SYSTEMS.items():
+        for q in UNIMODULAR:
+            sysm = conjugate_system(base, q)
+            tower = enumerate_tower(build_tower(sysm), 3)
+            cases = [tower] + [_planted(rng, tower) for _ in range(3)]
+            for pts in cases:
+                if len(set(pts)) != len(pts):
+                    continue
+                got = verify_orthogonality(sysm, pts)
+                assert got == _reference_orthogonality(sysm, pts), (name, q)
+                outcomes.add(got.ok)
+    lattice = build_lattice_spectrum(CROSS_SYSTEMS["2I"], 3)
+    for pts in (lattice, _planted(rng, lattice)):
+        got = verify_orthogonality(CROSS_SYSTEMS["2I"], pts)
+        assert got == _reference_orthogonality(CROSS_SYSTEMS["2I"], pts)
+        outcomes.add(got.ok)
+    assert outcomes == {True, False}
+
+
+def test_zero_certificates_match_fraction_scan():
+    """Identical ZeroCertificates (or None) on a preperiodic structured
+    system, its canonical reduction (rational matrices) and the generic
+    16-point sumset; a generic denominator past the cyclotomic limit raises
+    the same ValueError on both routes."""
+    systems = {
+        "mixed": MIXED,
+        "mixed reduced": reduce_canonical(MIXED),
+        "sum16": MoranSystem.constant(Mat2.scalar(12), SUM16),
+    }
+    assert not reduce_canonical(MIXED).preperiod[0][0].is_integral()
+    rng = random.Random(404)
+    certified = 0
+
+    def outcome(scan, sysm, xi):
+        try:
+            return scan(sysm, xi)
+        except ValueError as exc:
+            return ("ValueError", str(exc))
+
+    for name, sysm in systems.items():
+        for _ in range(150):
+            q = rng.choice([1, 2, 3, 4, 5, 6, 8, 12, 24])
+            xi = (Fraction(rng.randint(-60, 60), q), Fraction(rng.randint(-60, 60), q))
+            got = outcome(fourier_zero_exact, sysm, xi)
+            assert got == outcome(_reference_zero_scan, sysm, xi), (name, xi)
+            certified += isinstance(got, ZeroCertificate)
+        for xi in [(0, 0), (1, 1), (0.5, 3), (Fraction(1, 3), -2)]:
+            assert fourier_zero_exact(sysm, xi) == _reference_zero_scan(sysm, xi), (name, xi)
+    assert certified > 50
+    big = (Fraction(1, 100_003), Fraction(0))
+    sum16 = systems["sum16"]
+    with pytest.raises(ValueError, match="too large"):
+        fourier_zero_exact(sum16, big)
+    with pytest.raises(ValueError, match="too large"):
+        _reference_zero_scan(sum16, big)
+
+
+def test_oracle_matches_per_pair_unity_sums():
+    """The oracle's exact verdict (isolated by an infinite numeric tolerance)
+    equals a pair-by-pair Fraction check on towers, translated towers and
+    towers with planted shifts.  Denominators stay small: the oracle's dense
+    cyclotomic test grows with the product of the atom and candidate
+    denominators."""
+    rng = random.Random(505)
+    outcomes = set()
+    for name, base in CROSS_SYSTEMS.items():
+        for level in (1, 2):
+            tower = enumerate_tower(build_tower(base), level)
+            t = (Fraction(rng.randint(-5, 5), 3), Fraction(1, 3))
+            translated = [(x + t[0], y + t[1]) for x, y in tower]
+            for pts in (tower, translated, _planted(rng, tower, (3, 5))):
+                exact = discrete_spectrum_oracle(base, level, pts, tol=math.inf).unitary
+                assert exact == _reference_oracle_exact(base, level, pts), (name, level)
+                rep = discrete_spectrum_oracle(base, level, pts)
+                assert rep.unitary == (exact and rep.residual < 1e-10)
+                outcomes.add(exact)
+    assert outcomes == {True, False}
+    # One vanishing test fails among many: (6, 0) repeats the residue of
+    # (2, 0) modulo 4 Z^2, the dual period of the level-2 atoms of (2I, D0).
+    sysm = CROSS_SYSTEMS["2I"]
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    assert discrete_spectrum_oracle(sysm, 2, [(4, 4)] + grid[1:], tol=math.inf).unitary
+    lone = [(6, 0)] + grid[1:]
+    assert not _reference_oracle_exact(sysm, 2, lone)
+    assert not discrete_spectrum_oracle(sysm, 2, lone, tol=math.inf).unitary
 
 
 @given(st.text(alphabet="period:\n matrixdigts0123456789,-/ canol", max_size=120))
