@@ -17,7 +17,7 @@ from moranspectra import (
     MoranSystem,
     attractor_points,
     canonical_digits,
-    fourier,
+    fourier_many,
     scaled_canonical,
 )
 
@@ -35,6 +35,11 @@ def main() -> None:
     grid = int(sys.argv[3]) if len(sys.argv) > 3 else 81
     outdir.mkdir(parents=True, exist_ok=True)
     box = 4.0
+    axis = [-box + 2 * box * i / (grid - 1) for i in range(grid)]
+
+    def grid_points():
+        return ((x, y) for x in axis for y in axis)
+
     for name, sysm in GALLERY.items():
         pts = attractor_points(sysm, depth)
         with (outdir / f"{name}_attractor.csv").open("w", newline="") as fh:
@@ -44,11 +49,8 @@ def main() -> None:
         with (outdir / f"{name}_grid.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "absval"])
-            for i in range(grid):
-                x = -box + 2 * box * i / (grid - 1)
-                for j in range(grid):
-                    y = -box + 2 * box * j / (grid - 1)
-                    writer.writerow([x, y, abs(fourier(sysm, (x, y), 1e-6).value)])
+            for (x, y), res in zip(grid_points(), fourier_many(sysm, grid_points(), 1e-6)):
+                writer.writerow([x, y, abs(res.value)])
         print(f"{name}: {len(pts)} attractor points, {grid}x{grid} grid -> {outdir}")
 
 

@@ -49,6 +49,7 @@ from .moran import (
     canonical_representation,
     conjugate_system,
     fourier,
+    fourier_many,
     fourier_zero_exact,
     integer_periodic_zero_nonempty,
     realize_word_system,

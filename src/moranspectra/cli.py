@@ -32,6 +32,7 @@ from .moran import (
     SystemInvalid,
     attractor_points,
     fourier,
+    fourier_many,
     fourier_zero_exact,
     validate,
 )
@@ -265,15 +266,16 @@ def cmd_emit(cfg: SystemConfig, args, report: Report) -> int:
     grid_path = outdir / "fourier_grid.csv"
     n = args.grid
     b = float(args.box)
+    axis = [-b + 2 * b * i / (n - 1) if n > 1 else 0.0 for i in range(n)]
+
+    def grid():
+        return ((x, y) for x in axis for y in axis)
+
     with grid_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "absval"])
-        for i in range(n):
-            x = -b + 2 * b * i / (n - 1) if n > 1 else 0.0
-            for j in range(n):
-                y = -b + 2 * b * j / (n - 1) if n > 1 else 0.0
-                val = abs(fourier(sys_, (x, y), args.eps).value)
-                writer.writerow([repr(x), repr(y), repr(val)])
+        for (x, y), res in zip(grid(), fourier_many(sys_, grid(), args.eps)):
+            writer.writerow([repr(x), repr(y), repr(abs(res.value))])
     report.results.update(fourier_grid=str(grid_path), grid=n)
     report.truncation.update(box=args.box, eps=args.eps)
     return EXIT_OK

@@ -104,6 +104,18 @@ def _poly_rem_is_zero(coeffs: Sequence[int], monic: Sequence[int]) -> bool:
     return not any(work)
 
 
+MAX_DENSE_DENOMINATOR = 100_000
+
+
+def _check_dense_denominator(q: int) -> None:
+    """The dense test allocates q coefficients and divides by Phi_q; refuse
+    denominators past MAX_DENSE_DENOMINATOR before doing either."""
+    if q > MAX_DENSE_DENOMINATOR:
+        raise ValueError(
+            f"common denominator {q} too large for the dense cyclotomic test"
+        )
+
+
 @dataclass(frozen=True)
 class UnityRootSum:
     """A formal sum  sum_k  c_k * exp(2 pi i x_k)  with rational x_k mod 1."""
@@ -141,10 +153,7 @@ class UnityRootSum:
         q = 1
         for e, _ in self.counts:
             q = math.lcm(q, e.denominator)
-        if q > 100_000:
-            raise ValueError(
-                f"common denominator {q} too large for the dense cyclotomic test"
-            )
+        _check_dense_denominator(q)
         coeffs = [0] * q
         for e, c in self.counts:
             coeffs[int(e * q)] += c
@@ -161,9 +170,11 @@ def unity_sum_is_zero(exponents: Iterable) -> bool:
 def unity_sum_is_zero_ints(numerators: Iterable[int], q: int) -> bool:
     """Exact vanishing of sum_k exp(2 pi i n_k / q) from integer numerators.
 
-    Same verdict as `unity_sum_is_zero` on fractions n_k/q; skips Fraction
+    Same verdict as `unity_sum_is_zero` on fractions n_k/q, and the same
+    ValueError when q itself is past the dense test's limit; skips Fraction
     construction for hot loops (the discrete spectral-pair oracle).
     """
+    _check_dense_denominator(q)
     coeffs = [0] * q
     for k in numerators:
         coeffs[k % q] += 1

@@ -8,9 +8,16 @@ along the backward orbit eta_j = (M_1^* ... M_j^*)^{-1} xi.
 
 Two evaluation paths coexist:
 
-* `fourier`      - double-precision truncated product with a certified tail
-                   bound from |1 - m_D(eta)| <= 2 pi max||d|| ||eta|| and the
-                   geometric decay of ||eta_j||;
+* `fourier` / `fourier_many` - double-precision truncated product with a
+                   certified tail bound from |1 - m_D(eta)| <= 2 pi max||d||
+                   ||eta|| and the geometric decay of ||eta_j||.  Both read
+                   one float level table built by `_analysis` and stop at
+                   the level chosen by one truncation rule (`_truncation`),
+                   so a point gets the same levels and bound either way.
+                   `fourier` walks one point in a scalar loop;
+                   `fourier_many` steps blocks of points level by level in
+                   numpy, which pays off from about twenty points on (one
+                   point costs it some ten scalar evaluations);
 * `fourier_zero_exact` - exact scan of the orbit, carried as integer
                    numerators over one reduced denominator, that either
                    produces a level-j witness in Z(m_{D_j}) or proves no
@@ -20,11 +27,16 @@ Two evaluation paths coexist:
 
 from __future__ import annotations
 
+import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from itertools import chain, cycle, islice
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .digitsets import DigitSet, StructuredDigitSet, scaled_by_matrix
 from .lattice import (
@@ -38,8 +50,8 @@ from .lattice import (
     sqrt_upper,
 )
 from .mask import (
+    TWO_PI,
     digit_mask_zero,
-    eval_mask,
     mask_zero_exact_generic,
     over_common_denominator,
     rational_vec,
@@ -168,19 +180,30 @@ def conjugate_system(sys: MoranSystem, q: Mat2) -> MoranSystem:
 
 @dataclass(frozen=True)
 class _LevelData:
-    matrix: Mat2
     digits: DigitSet
     minv_t_num: tuple[int, int, int, int]  # (M^*)^{-1} = minv_t_num / minv_t_den
     minv_t_den: int                   # exactly, with minv_t_den > 0
-    minv_t_float: tuple[float, float, float, float]
-    inv_norm_up: Fraction             # certified >= ||M^{-1}||
     gamma_up: Fraction                # certified >= max ||d||
     zero_norm_sq_floor: Fraction      # ||eta||^2 >= this on Z(m_D)
+
+
+# One distinct level of the float evaluator: the entries a, b, c, d of
+# (M^*)^{-1} rounded to floats, the digit points as floats, #D, and the start
+# value of the mask sum.  A leading zero digit adds exactly 1 + 0j to the sum
+# whatever the point, so it is dropped from the points and starts the sum at
+# 1 + 0j instead of 0j.
+_FloatLevel = tuple[float, float, float, float, tuple[tuple[float, float], ...], int, complex]
 
 
 @dataclass(frozen=True)
 class _Analysis:
     levels: tuple[_LevelData, ...]
+    float_levels: tuple[_FloatLevel, ...]
+    # float(||M_n^{-1}|| upper bound) * (1 + 1e-12) per preperiod level: the
+    # orbit bound's growth factor while the preperiod is walked.
+    preperiod_growth: tuple[float, ...]
+    anchor_step: float                # float(anchor_contraction_up) * (1 + 1e-12)
+    tail_factor: float                # tail beyond an anchor = tail_factor * bound
     preperiod_len: int
     unrolled_len: int                 # anchor spacing: a multiple of the period
     anchor_contraction_up: Fraction   # certified >= ||(product of unrolled_len
@@ -217,6 +240,7 @@ def _zero_norm_floor(digits: DigitSet) -> Fraction:
 @lru_cache(maxsize=256)
 def _analysis(sys: MoranSystem) -> _Analysis:
     levels = []
+    float_levels = []
     inverses = []
     for m, d in sys.distinct_levels():
         if m.det() == 0:
@@ -225,20 +249,23 @@ def _analysis(sys: MoranSystem) -> _Analysis:
         inverses.append(minv_t)
         entries = minv_t.entries()
         den = math.lcm(*(e.denominator for e in entries))
-        fr = minv_t.as_float_rows()
         floor = _zero_norm_floor(d)
         levels.append(
             _LevelData(
-                matrix=m,
                 digits=d,
                 minv_t_num=tuple(e.numerator * (den // e.denominator) for e in entries),
                 minv_t_den=den,
-                minv_t_float=(fr[0][0], fr[0][1], fr[1][0], fr[1][1]),
-                inv_norm_up=inverse_norm_upper(m),
                 gamma_up=sqrt_upper(d.max_norm_sq()),
                 zero_norm_sq_floor=floor * floor,
             )
         )
+        a, b, c, e = (float(v) for v in entries)
+        pts = tuple((float(dx), float(dy)) for dx, dy in d.points())
+        acc0 = complex(pts[0] == (0.0, 0.0))
+        float_levels.append((a, b, c, e, pts[1:] if acc0 else pts, len(pts), acc0))
+    preperiod_growth = tuple(
+        float(inverse_norm_upper(m)) * (1.0 + 1e-12) for m, _ in sys.preperiod
+    )
     p = len(sys.preperiod)
     period = inverses[p:]
     r = len(period)
@@ -278,14 +305,20 @@ def _analysis(sys: MoranSystem) -> _Analysis:
                 "period inverse products do not contract (no unrolling below 256 works)"
             )
     zero_floor_sq = min(l.zero_norm_sq_floor for l in levels)
+    gamma_up = max(l.gamma_up for l in levels)
+    contraction = float(anchor)
     return _Analysis(
         levels=tuple(levels),
+        float_levels=tuple(float_levels),
+        preperiod_growth=preperiod_growth,
+        anchor_step=contraction * (1.0 + 1e-12),
+        tail_factor=2.0 * math.pi * float(gamma_up) * float(tail_sum) / (1.0 - contraction),
         preperiod_len=p,
         unrolled_len=length,
         anchor_contraction_up=anchor,
         period_growth_up=growth,
         anchor_tail_sum_up=tail_sum,
-        gamma_up=max(l.gamma_up for l in levels),
+        gamma_up=gamma_up,
         zero_floor_sq=zero_floor_sq,
         stop_scale=growth.numerator**2 * zero_floor_sq.denominator,
         stop_floor=zero_floor_sq.numerator * growth.denominator**2,
@@ -398,8 +431,21 @@ def _is_exact_point(xi) -> bool:
     return all(isinstance(c, (int, Fraction)) for c in xi)
 
 
-def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
-    """Truncated Fourier product with certified tail bound <= eps.
+def _float_point(xi) -> tuple[float, float]:
+    """xi as two finite floats; ValueError otherwise (an infinite or NaN
+    coordinate would walk the orbit to the level cap)."""
+    try:
+        x, y = float(xi[0]), float(xi[1])
+    except OverflowError:
+        raise ValueError(f"point {xi!r} is too large for a float") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point {xi!r} has a non-finite coordinate")
+    return x, y
+
+
+def _truncation(ana: _Analysis, x: float, y: float, eps: float) -> tuple[int, float]:
+    """The truncation level J of the product at xi = (x, y) and its certified
+    tail bound, the first anchor level whose tail is <= eps.
 
     Each omitted factor differs from 1 by at most 2 pi gamma ||eta_j||, and
     partial products have modulus <= 1, so the error of stopping at level J
@@ -407,8 +453,39 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
     bounded at anchor levels (preperiod end plus multiples of the unrolled
     period): with K the anchor contraction and S the sum of partial-run
     norms, the tail beyond an anchor with certified orbit bound B is at most
-    2 pi gamma B S / (1 - K).  Truncation stops at the first anchor meeting
-    eps.
+    2 pi gamma B S / (1 - K).  The (1 + 1e-12) factors cover the rounding of
+    B's float recursion.
+    """
+    bound = math.hypot(x, y) * (1.0 + 1e-12)
+    for growth in ana.preperiod_growth:
+        bound *= growth
+    j = ana.preperiod_len
+    tail_factor, step, stride = ana.tail_factor, ana.anchor_step, ana.unrolled_len
+    while True:
+        tail = tail_factor * bound
+        if tail <= eps:
+            return j, tail
+        if j >= MAX_SCAN_LEVELS:
+            raise CapExceeded("truncation level exceeded hard cap")
+        j += stride
+        bound *= step
+
+
+def _level_sequence(per_level: Sequence, p: int) -> Iterator:
+    """Levels 1, 2, 3, ... without end, from one entry per distinct level
+    (the p preperiod levels first, then the period)."""
+    return chain(per_level[:p], cycle(per_level[p:]))
+
+
+_I_TWO_PI = 1j * TWO_PI
+
+
+def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
+    """Truncated Fourier product with certified tail bound <= eps.
+
+    An exact (int or Fraction) point in the zero set returns 0 with bound 0
+    at the certificate's level; otherwise the product runs to the level set
+    by `_truncation`.  Non-finite coordinates raise ValueError.
     """
     if not eps > 0:
         raise ValueError("tolerance must be positive")
@@ -416,39 +493,70 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
         cert = fourier_zero_exact(sys, xi)
         if cert is not None:
             return FourierResult(0j, 0.0, cert.level)
+    x, y = _float_point(xi)
     ana = _analysis(sys)
-    contraction = float(ana.anchor_contraction_up)
-    gamma = float(ana.gamma_up)
-    tail_factor = (
-        2.0 * math.pi * gamma * float(ana.anchor_tail_sum_up) / (1.0 - contraction)
-    )
-
-    x, y = float(xi[0]), float(xi[1])
-    bound = math.hypot(x, y) * (1.0 + 1e-12)
+    levels, tail = _truncation(ana, x, y, eps)
+    exp = cmath.exp
     value = complex(1.0)
-    j = 0
-    # preperiod: advance level by level, growing the orbit bound per level
-    while j < ana.preperiod_len:
-        j += 1
-        lv = ana.level_data(j)
-        a, b, c, d = lv.minv_t_float
+    table = _level_sequence(ana.float_levels, ana.preperiod_len)
+    for a, b, c, d, digits, n, acc in islice(table, levels):
         x, y = a * x + b * y, c * x + d * y
-        bound *= float(lv.inv_norm_up) * (1.0 + 1e-12)
-        value *= eval_mask(lv.digits, (x, y))
-    # periodic region: test at anchors, consume one unrolled period at a time
-    while True:
-        tail = tail_factor * bound
-        if tail <= eps:
-            return FourierResult(value, tail, j)
-        if j >= MAX_SCAN_LEVELS:
-            raise CapExceeded("truncation level exceeded hard cap")
-        for _ in range(ana.unrolled_len):
-            j += 1
-            lv = ana.level_data(j)
-            a, b, c, d = lv.minv_t_float
+        for dx, dy in digits:
+            acc += exp(_I_TWO_PI * (dx * x + dy * y))
+        value *= acc / n
+    return FourierResult(value, tail, levels)
+
+
+FOURIER_BLOCK = 256
+
+
+def fourier_many(sys: MoranSystem, xis: Iterable, eps: float) -> Iterator[FourierResult]:
+    """`fourier` at many float points: one result per point, in order.
+
+    Each point gets the levels and bound `fourier` gives it (same
+    `_truncation`), and its value agrees with `fourier`'s to rounding: the
+    orbits step through the same float operations, while the mask sums run
+    in numpy.  Points are read and evaluated in blocks of FOURIER_BLOCK, so
+    memory does not grow with the number of points.  There is no exact-zero
+    short circuit; exact points are evaluated at their float values.
+    """
+    if not eps > 0:
+        raise ValueError("tolerance must be positive")
+    ana = _analysis(sys)
+    return _fourier_blocks(ana, iter(xis), eps)
+
+
+def _fourier_blocks(ana: _Analysis, xis: Iterator, eps: float) -> Iterator[FourierResult]:
+    # Digit coordinates as (#D, 1) columns, broadcast against a block's orbit.
+    columns = [
+        (a, b, c, d, np.array([[dx] for dx, _ in pts]), np.array([[dy] for _, dy in pts]),
+         acc0, 1.0 / n)
+        for a, b, c, d, pts, n, acc0 in ana.float_levels
+    ]
+    while block := [_float_point(xi) for xi in islice(xis, FOURIER_BLOCK)]:
+        cuts = [_truncation(ana, x, y, eps) for x, y in block]
+        # Sorted by level, the points still running at level j are a suffix
+        # ends[start:], and the orbit arrays hold just that suffix.
+        order = sorted(range(len(block)), key=lambda i: cuts[i][0])
+        ends = [cuts[i][0] for i in order]
+        start = bisect_right(ends, 0)
+        x = np.array([block[i][0] for i in order[start:]])
+        y = np.array([block[i][1] for i in order[start:]])
+        value = np.ones(len(block), dtype=complex)
+        table = _level_sequence(columns, ana.preperiod_len)
+        for j, (a, b, c, d, dxs, dys, acc0, inv_n) in enumerate(islice(table, ends[-1]), 1):
             x, y = a * x + b * y, c * x + d * y
-            value *= eval_mask(lv.digits, (x, y))
-        bound *= contraction * (1.0 + 1e-12)
+            terms = np.exp(_I_TWO_PI * (dxs * x + dys * y))
+            value[start:] *= (acc0 + terms.sum(axis=0)) * inv_n
+            done = bisect_right(ends, j, lo=start)
+            if done > start:
+                x, y = x[done - start:], y[done - start:]
+                start = done
+        values = [0j] * len(block)
+        for i, v in zip(order, value.tolist()):
+            values[i] = v
+        for v, (j, tail) in zip(values, cuts):
+            yield FourierResult(v, tail, j)
 
 
 # --- exact zero certificates -------------------------------------------------

@@ -35,7 +35,7 @@ from .moran import (
     DEFAULT_POINT_CAP,
     MoranSystem,
     OutOfTheoryError,
-    fourier,
+    fourier_many,
     fourier_zero_exact,
 )
 
@@ -243,19 +243,19 @@ def completeness_sum(
 ) -> float:
     """Q(xi) = sum_{lambda} |mu^(xi + lambda)|^2 over the finite candidate set.
 
-    Per-term Fourier tolerance is eps / #points; summation order is the
-    given point order, so reports are reproducible.
+    The terms come from one batched `fourier_many` call at the float points
+    xi + lambda, each with Fourier tolerance eps / #points; summation order
+    is the given point order, so reports are reproducible.
     """
     if not eps > 0:
         raise ValueError("tolerance must be positive")
     if not points:
         return 0.0
-    per_term = eps / len(points)
     x, y = float(xi[0]), float(xi[1])
+    shifted = ((x + float(lx), y + float(ly)) for lx, ly in points)
     total = 0.0
-    for lx, ly in points:
-        val = fourier(sys, (x + float(lx), y + float(ly)), per_term).value
-        total += abs(val) ** 2
+    for res in fourier_many(sys, shifted, eps / len(points)):
+        total += abs(res.value) ** 2
     return total
 
 

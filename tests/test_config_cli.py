@@ -16,6 +16,7 @@ from moranspectra.config import (
 )
 from moranspectra.digitsets import GenericDigitSet, canonical_digits, scaled_canonical
 from moranspectra.lattice import Mat2
+from moranspectra.moran import fourier
 
 CONST_2I = """\
 period:
@@ -162,6 +163,13 @@ class TestExitCodes:
         assert "zero denominator" in capsys.readouterr().err
         assert main(["fourier", path, "--xi", "0.5,3/0"]) == 2
 
+    @pytest.mark.parametrize("xi", ["1e400,0", "-1e400,0.5", "0.5,1e999"])
+    def test_non_finite_xi_exit_2(self, tmp_path, capsys, xi):
+        # Parsed as an infinite float, the point used to walk the orbit to
+        # the level cap (exit 4) instead of being rejected.
+        assert main(["fourier", write(tmp_path, CONST_2I), f"--xi={xi}"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_scan_caps_exit_4(self, tmp_path, monkeypatch, capsys):
         from moranspectra import moran
 
@@ -237,6 +245,20 @@ class TestCommands:
         grid = list(csv.reader((outdir / "fourier_grid.csv").open()))
         assert grid[0] == ["x", "y", "absval"]
         assert len(grid) == 26
+
+
+    def test_emit_grid_matches_fourier(self, tmp_path, capsys):
+        """Each absval of the batched grid is |fourier| at that point."""
+        cfg = "period:\n  matrix: 2 2 0 2\n  digits: scaled 3\n"
+        outdir = tmp_path / "out"
+        assert main(["emit", write(tmp_path, cfg), "--depth", "2", "--grid", "9",
+                     "--box", "3", "--eps", "1e-10", "--out", str(outdir)]) == 0
+        sysm = parse_config(cfg).system()
+        rows = list(csv.reader((outdir / "fourier_grid.csv").open()))[1:]
+        assert len(rows) == 81
+        for x, y, absval in rows:
+            ref = abs(fourier(sysm, (float(x), float(y)), 1e-10).value)
+            assert abs(float(absval) - ref) <= 1e-14, (x, y)
 
 
 class TestDeterminism:

@@ -20,13 +20,21 @@ from moranspectra.digitsets import (
     scaled_canonical,
     sum_set,
 )
-from moranspectra.lattice import Mat2, inverse_norm_below_one, is_expanding
-from moranspectra.mask import is_hadamard_triple, mask_zero_exact_generic, unity_sum_is_zero
+from moranspectra.lattice import Mat2, inverse_norm_below_one, inverse_norm_upper, is_expanding
+from moranspectra.mask import (
+    eval_mask,
+    is_hadamard_triple,
+    mask_zero_exact_generic,
+    unity_sum_is_zero,
+)
 from moranspectra.moran import (
+    FOURIER_BLOCK,
+    FourierResult,
     MoranSystem,
     ZeroCertificate,
     conjugate_system,
     fourier,
+    fourier_many,
     fourier_zero_exact,
     reduce_canonical,
     validate,
@@ -437,6 +445,151 @@ def test_oracle_matches_per_pair_unity_sums():
     lone = [(6, 0)] + grid[1:]
     assert not _reference_oracle_exact(sysm, 2, lone)
     assert not discrete_spectrum_oracle(sysm, 2, lone, tol=math.inf).unitary
+
+
+# --- the float evaluator against its earlier scalar loop and mpmath ----------
+
+
+def _reference_fourier(sysm, xi, eps):
+    """The scalar loop `fourier` ran before its float level table, kept as a
+    reference: per-level float (M^*)^{-1} and ||M^{-1}|| bounds taken from the
+    system's exact matrices, the anchor recursion written out, and
+    `eval_mask` for every factor.  Exact points are not short-circuited."""
+    ana = moran._analysis(sysm)
+    inv = {m: m.transpose().inverse().as_float_rows() for m in sysm.matrices()}
+    contraction = float(ana.anchor_contraction_up)
+    gamma = float(ana.gamma_up)
+    tail_factor = 2.0 * math.pi * gamma * float(ana.anchor_tail_sum_up) / (1.0 - contraction)
+
+    def factor(j, x, y):
+        m, d = sysm.level(j)
+        (a, b), (c, e) = inv[m]
+        x, y = a * x + b * y, c * x + e * y
+        return x, y, eval_mask(d, (x, y))
+
+    x, y = float(xi[0]), float(xi[1])
+    bound = math.hypot(x, y) * (1.0 + 1e-12)
+    value = complex(1.0)
+    j = 0
+    while j < ana.preperiod_len:
+        j += 1
+        x, y, f = factor(j, x, y)
+        bound *= float(inverse_norm_upper(sysm.level(j)[0])) * (1.0 + 1e-12)
+        value *= f
+    while True:
+        tail = tail_factor * bound
+        if tail <= eps:
+            return FourierResult(value, tail, j)
+        for _ in range(ana.unrolled_len):
+            j += 1
+            x, y, f = factor(j, x, y)
+            value *= f
+        bound *= contraction * (1.0 + 1e-12)
+
+
+FOURIER_SYSTEMS = {
+    "2I": MoranSystem.constant(I2, D0),
+    "shear": MoranSystem.constant(Mat2(2, 2, 0, 2), D0),
+    "rot3": MoranSystem.constant(Mat2(0, -2, 2, 0), scaled_canonical(3)),
+    "9to3": CROSS_SYSTEMS["9to3"],
+    "sum16": MoranSystem.constant(I2, SUM16),
+    "mixed reduced": reduce_canonical(MIXED),
+    # no zero digit in front: the mask sum starts from 0j
+    "generic": MoranSystem.constant(Mat2(0, 2, -2, 0), GenericDigitSet(((1, 0), (0, 0), (0, 1)))),
+}
+FOURIER_EPS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
+
+
+def _float_points(rng, count):
+    out = []
+    for _ in range(count):
+        r = rng.choice([1e-3, 1.0, 8.0, 60.0, 1e4])
+        out.append((rng.uniform(-r, r), rng.uniform(-r, r)))
+    return out
+
+
+def test_fourier_equals_reference_loop():
+    """`fourier` returns results == the reference loop's (value, bound and
+    levels bit for bit) on random float points and on exact points; exact
+    points in the zero set return 0 at their certificate's level."""
+    assert not reduce_canonical(MIXED).preperiod[0][0].is_integral()
+    rng = random.Random(606)
+    exact = [(0, 0), (Fraction(1, 3), 2), (Fraction(1, 2), Fraction(-5, 7))]
+    zeros = 0
+    for name, sysm in FOURIER_SYSTEMS.items():
+        for eps in FOURIER_EPS:
+            for xi in _float_points(rng, 25) + [(0.0, 0.0), (-0.0, 2.5)] + exact:
+                cert = fourier_zero_exact(sysm, xi) if isinstance(xi[0], (int, Fraction)) else None
+                if cert is None:
+                    ref = _reference_fourier(sysm, xi, eps)
+                else:
+                    ref, zeros = FourierResult(0j, 0.0, cert.level), zeros + 1
+                assert fourier(sysm, xi, eps) == ref, (name, eps, xi)
+    assert 0 < zeros < len(FOURIER_SYSTEMS) * len(FOURIER_EPS) * len(exact)
+
+
+@pytest.mark.parametrize("count", [0, 1, FOURIER_BLOCK, FOURIER_BLOCK + 1, 700])
+def test_fourier_many_matches_fourier(count):
+    """One result per point, in order, with the levels and bound of
+    `fourier` and a value within 1e-14 of it, for block-sized and ragged
+    inputs; far points in a block run longer than the others."""
+    rng = random.Random(707 + count)
+    for name, sysm in FOURIER_SYSTEMS.items():
+        points = _float_points(rng, count)
+        for eps in (1e-6, 1e-13):
+            got = list(fourier_many(sysm, iter(points), eps))
+            assert len(got) == count
+            for xi, res in zip(points, got):
+                ref = fourier(sysm, xi, eps)
+                assert (res.levels, res.bound) == (ref.levels, ref.bound), (name, xi)
+                assert abs(res.value - ref.value) <= 1e-14, (name, xi)
+
+
+def test_fourier_rejects_non_finite_points():
+    sysm = FOURIER_SYSTEMS["2I"]
+    for xi in [(math.inf, 0.0), (0.5, -math.inf), (math.nan, 1.0), (1e400, 0)]:
+        with pytest.raises(ValueError, match="non-finite"):
+            fourier(sysm, xi, 1e-8)
+        with pytest.raises(ValueError, match="non-finite"):
+            list(fourier_many(sysm, [(0.1, 0.2), xi], 1e-8))
+    with pytest.raises(ValueError, match="too large"):
+        fourier(sysm, (Fraction(10**400, 3), 1), 1e-8)
+    with pytest.raises(ValueError, match="positive"):
+        fourier_many(sysm, [], 0.0)
+
+
+def _mp_fourier(sysm, xi, levels):
+    """40-digit product of the first `levels` mask factors at the exact
+    binary value of the float point xi, from the system's exact matrices."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        x, y = mpmath.mpf(xi[0]), mpmath.mpf(xi[1])
+        value = mpmath.mpc(1)
+        for n in range(1, levels + 1):
+            m, digits = sysm.level(n)
+            a, b, c, d = (mpmath.mpf(Fraction(e).numerator) / Fraction(e).denominator
+                          for e in m.entries())
+            det = a * d - b * c
+            x, y = (d * x - c * y) / det, (-b * x + a * y) / det
+            terms = (mpmath.expjpi(2 * (dx * x + dy * y)) for dx, dy in digits.points())
+            value *= mpmath.fsum(terms) / len(digits)
+        return value
+
+
+def test_fourier_many_within_bound_of_mpmath():
+    """|fourier_many - exact product| <= bound on sampled points.  The
+    reference runs 80 levels past J, where its own tail is negligible.  The
+    bound covers truncation only; eps stops at 1e-12, where float rounding
+    (ROADMAP item 2(b)) stays below it."""
+    pytest.importorskip("mpmath")
+    rng = random.Random(808)
+    for name, sysm in FOURIER_SYSTEMS.items():
+        points = _float_points(rng, 3)
+        for eps in (1e-4, 1e-8, 1e-12):
+            for xi, res in zip(points, fourier_many(sysm, points, eps)):
+                err = float(abs(_mp_fourier(sysm, xi, res.levels + 80) - res.value))
+                assert err <= res.bound, (name, eps, xi, err, res.bound)
 
 
 @given(st.text(alphabet="period:\n matrixdigts0123456789,-/ canol", max_size=120))

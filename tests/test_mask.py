@@ -24,6 +24,7 @@ from moranspectra.mask import (
     mask_zero_exact_generic,
     partition_of_unity_residual,
     unity_sum_is_zero,
+    unity_sum_is_zero_ints,
 )
 
 D0 = canonical_digits()
@@ -56,6 +57,22 @@ def test_unity_sum_examples():
     val = 1 + cmath.exp(2j * cmath.pi / 4) + cmath.exp(2j * cmath.pi / 3)
     assert abs(val) > 1.9
     assert not unity_sum_is_zero([0, Fraction(1, 4), Fraction(1, 3)])
+
+
+def test_unity_sum_ints_refuses_large_denominator():
+    """Past the dense test's limit the integer route raises the Fraction
+    route's ValueError before it reads a numerator or allocates q terms."""
+
+    def untouched():
+        raise AssertionError("numerators read before the size check")
+        yield
+
+    with pytest.raises(ValueError, match="too large for the dense cyclotomic test"):
+        unity_sum_is_zero_ints(untouched(), 100_003)
+    with pytest.raises(ValueError, match="too large for the dense cyclotomic test"):
+        unity_sum_is_zero([Fraction(1, 100_003), 0])
+    assert unity_sum_is_zero_ints([0, 2], 4)
+    assert not unity_sum_is_zero_ints([0, 1], 3)
 
 
 def test_mask_zero_exact_examples():
