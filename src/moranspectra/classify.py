@@ -22,12 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .digitsets import StructuredDigitSet, scaled_t_of
 from .lattice import Mat2, in_gl2_2z, inverse_norm_below_one, is_expanding
-from .moran import (
-    MoranSystem,
-    TWord,
-    canonical_representation,
-    conjugate_system,
-)
+from .moran import MoranSystem, TWord, conjugate_system
 
 SPECTRAL = "Spectral"
 NOT_SPECTRAL = "NotSpectral"
@@ -56,7 +51,22 @@ def _fmt(m: Mat2) -> str:
 
 
 def _all_structured(sys: MoranSystem) -> bool:
-    return all(isinstance(d, StructuredDigitSet) for _, d in sys.distinct_levels())
+    return all(isinstance(d, StructuredDigitSet) for _, d in sys.distinct())
+
+
+def _odd_matrix_from_level_two(sys: MoranSystem, rule: str) -> Optional[Verdict]:
+    """NotSpectral when a matrix used at some level >= 2 is not in GL(2,2Z).
+
+    Distinct levels are tried in order, each cited at its first level >= 2:
+    a preperiod's first entry never recurs, and with no preperiod the first
+    period entry recurs at level 1 + r.
+    """
+    p, r = len(sys.preperiod), len(sys.period)
+    for i, (m, _) in enumerate(sys.distinct()):
+        if (i > 0 or p == 0) and not in_gl2_2z(m):
+            level = i + 1 if i > 0 else 1 + r
+            return Verdict(NOT_SPECTRAL, rule, f"level {level} matrix {_fmt(m)} is not in GL(2,2Z)")
+    return None
 
 
 # --- rule T1.4: strict determinant family ----------------------------------
@@ -67,8 +77,7 @@ def classify_thm14(sys: MoranSystem) -> Verdict:
     spectral exactly when every matrix from level 2 on has all-even entries."""
     if not _all_structured(sys):
         return Verdict(OUT_OF_THEORY, RULE_T14, "T1.4 needs four-point structured digit sets")
-    levels = sys.distinct_levels()
-    for i, (m, _) in enumerate(levels):
+    for m, _ in sys.distinct():
         if abs(m.det()) <= 4:
             return Verdict(
                 OUT_OF_THEORY, RULE_T14, f"|det {_fmt(m)}| = {abs(m.det())} is not > 4"
@@ -79,17 +88,7 @@ def classify_thm14(sys: MoranSystem) -> Verdict:
             return Verdict(
                 OUT_OF_THEORY, RULE_T14, f"matrix {_fmt(m)} has ||M^-1|| >= 1"
             )
-    for i, (m, _) in enumerate(levels):
-        if sys.occurs_only_at_level_one(i):
-            continue
-        if not in_gl2_2z(m):
-            lvl = sys.first_level_at_least_two(i)
-            return Verdict(
-                NOT_SPECTRAL,
-                RULE_T14,
-                f"level {lvl} matrix {_fmt(m)} is not in GL(2,2Z)",
-            )
-    return Verdict(
+    return _odd_matrix_from_level_two(sys, RULE_T14) or Verdict(
         SPECTRAL,
         RULE_T14,
         "all |det| > 4, all ||M^-1|| < 1, and every matrix from level 2 on is in GL(2,2Z)",
@@ -104,25 +103,14 @@ def classify_thm11(sys: MoranSystem) -> Verdict:
     determinants, an odd-entry matrix at any level >= 2 forces NotSpectral."""
     if not _all_structured(sys):
         return Verdict(OUT_OF_THEORY, RULE_T11, "T1.1 needs four-point structured digit sets")
-    levels = sys.distinct_levels()
-    for m, _ in levels:
+    for m, _ in sys.distinct():
         if abs(m.det()) < 4:
             return Verdict(
                 OUT_OF_THEORY, RULE_T11, f"|det {_fmt(m)}| = {abs(m.det())} is not >= 4"
             )
         if not is_expanding(m):
             return Verdict(OUT_OF_THEORY, RULE_T11, f"matrix {_fmt(m)} is not expanding")
-    for i, (m, _) in enumerate(levels):
-        if sys.occurs_only_at_level_one(i):
-            continue
-        if not in_gl2_2z(m):
-            lvl = sys.first_level_at_least_two(i)
-            return Verdict(
-                NOT_SPECTRAL,
-                RULE_T11,
-                f"level {lvl} matrix {_fmt(m)} is not in GL(2,2Z)",
-            )
-    return Verdict(
+    return _odd_matrix_from_level_two(sys, RULE_T11) or Verdict(
         OUT_OF_THEORY,
         RULE_T11,
         "necessity rule found no even-entry violation (it proves nothing positive)",
@@ -202,7 +190,7 @@ def classify_thm16(m1: Mat2, m2: Mat2, t1: int, t2: int) -> Verdict:
 
 def thm16_shape(sys: MoranSystem) -> Optional[tuple[Mat2, Mat2, int, int]]:
     """(M1, M2, t1, t2) when sys is a two-scale constant-tail scaled family."""
-    crep = canonical_representation(sys)
+    crep = sys.canonical()
     if len(crep.period) != 1 or len(crep.preperiod) > 1:
         return None
     m2, d2 = crep.period[0]
@@ -223,11 +211,11 @@ def cor51_verdict(sys: MoranSystem) -> Optional[Verdict]:
     """Necessity rule for longer scaled preperiods with a constant tail:
     all levels expanding with |det| = 4 and the tail scale not dividing the
     last preperiod scale force NotSpectral."""
-    crep = canonical_representation(sys)
+    crep = sys.canonical()
     if len(crep.period) != 1 or len(crep.preperiod) < 2:
         return None
     scales = []
-    for m, d in crep.preperiod + crep.period:
+    for m, d in crep.distinct():
         t = scaled_t_of(d)
         if t is None:
             return None
@@ -281,7 +269,7 @@ def similarity_normalize(sys: MoranSystem) -> MoranSystem:
     if not _all_structured(sys):
         return sys
     qhat: Optional[Mat2] = None
-    for _, d in sys.distinct_levels():
+    for _, d in sys.distinct():
         q = d.q_matrix()  # type: ignore[union-attr]
         p = abs(int(q.det()))
         t = math.isqrt(p)

@@ -90,17 +90,13 @@ class SystemConfig:
                 [l.matrix for l in self.preperiod],
                 [l.matrix for l in self.period],
             )
-        levels_pre = []
-        for l in self.preperiod:
+        levels = []
+        for l in self.preperiod + self.period:
             if l.digits is None:
                 raise ValueError("level without digits needs a word: block")
-            levels_pre.append((l.matrix, l.digits))
-        levels_per = []
-        for l in self.period:
-            if l.digits is None:
-                raise ValueError("level without digits needs a word: block")
-            levels_per.append((l.matrix, l.digits))
-        return MoranSystem(tuple(levels_pre), tuple(levels_per))
+            levels.append((l.matrix, l.digits))
+        p = len(self.preperiod)
+        return MoranSystem(levels[:p], levels[p:])
 
     def tword(self) -> TWord:
         if self.word is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .lattice import Mat2, Vec2
+from .lattice import Mat2
 
 
 class DigitSetError(ValueError):
@@ -156,8 +156,3 @@ def scaled_t_of(d: DigitSet) -> int | None:
     if d.alpha == (t, 0) and d.beta == (0, t):
         return t
     return None
-
-
-def point_sum(d: DigitSet) -> Vec2:
-    xs = d.points()
-    return (sum(x for x, _ in xs), sum(y for _, y in xs))

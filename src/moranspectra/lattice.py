@@ -75,9 +75,6 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
     def scale(self, t: Scalar) -> "Mat2":
         return Mat2(self.a * t, self.b * t, self.c * t, self.d * t)
 

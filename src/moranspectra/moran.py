@@ -1,10 +1,15 @@
 """Moran systems: eventually periodic (matrix, digit-set) sequences.
 
-A system is a finite preperiod followed by an infinitely repeated period of
-(expanding integer matrix, digit set) pairs.  The associated measure is the
-infinite convolution of uniform measures on M_1^{-1}...M_n^{-1} D_n; its
-Fourier transform is the infinite product of mask polynomials evaluated
-along the backward orbit eta_j = (M_1^* ... M_j^*)^{-1} xi.
+One type, `EventuallyPeriodic`, holds every eventually periodic sequence
+here: a finite preperiod followed by an infinitely repeated period, read
+at 1-based positions, iterated level by level, and reduced to its
+canonical (shortest) form.  `MoranSystem` is the sequence of (expanding
+integer matrix, digit set) pairs, `TWord` the word sigma picking each
+level's digit scale, and `_analysis` keeps its per-level tables in the
+same type.  The measure of a system is the infinite convolution of uniform
+measures on M_1^{-1}...M_n^{-1} D_n; its Fourier transform is the infinite
+product of mask polynomials evaluated along the backward orbit
+eta_j = (M_1^* ... M_j^*)^{-1} xi.
 
 Two evaluation paths coexist:
 
@@ -30,11 +35,11 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, cycle, islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Generic, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,6 +51,7 @@ from .lattice import (
     is_expanding,
     in_gl2_2z,
     inverse_norm_below_one,
+    mat_product,
     operator_norm_upper,
     sqrt_upper,
 )
@@ -76,85 +82,90 @@ class SystemInvalid(ValueError):
     """A Moran system failing validation was used where a valid one is required."""
 
 
-def _freeze_levels(levels: Iterable[Level]) -> tuple[Level, ...]:
-    out = []
-    for m, d in levels:
-        if not m.is_integral() and not _is_rational_mat(m):
-            raise ValueError("system matrices must be exact (int or Fraction entries)")
-        out.append((m, d))
-    return tuple(out)
-
-
-def _is_rational_mat(m: Mat2) -> bool:
-    return all(isinstance(e, (int, Fraction)) for e in m.entries())
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
-class MoranSystem:
-    """Eventually periodic sequence of (matrix, digit set) levels, 1-based."""
+class EventuallyPeriodic(Generic[T]):
+    """The sequence a_1, a_2, ...: a finite preperiod, then a nonempty
+    period repeated forever.  Positions are 1-based, and iterating yields
+    a_1, a_2, a_3, ... without end."""
 
-    preperiod: tuple[Level, ...]
-    period: tuple[Level, ...]
+    preperiod: tuple[T, ...]
+    period: tuple[T, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "preperiod", _freeze_levels(self.preperiod))
-        object.__setattr__(self, "period", _freeze_levels(self.period))
+        object.__setattr__(self, "preperiod", tuple(self.preperiod))
+        object.__setattr__(self, "period", tuple(self.period))
         if not self.period:
             raise ValueError("period must be nonempty")
 
-    @staticmethod
-    def constant(matrix: Mat2, digits: DigitSet) -> "MoranSystem":
-        return MoranSystem((), ((matrix, digits),))
+    @classmethod
+    def from_function(cls, f: Callable[[int], T], pre_len: int, period_len: int):
+        """The sequence with preperiod f(1), ..., f(pre_len) and period
+        f(pre_len + 1), ..., f(pre_len + period_len), for classes whose only
+        fields are the two."""
+        return cls(
+            tuple(map(f, range(1, pre_len + 1))),
+            tuple(map(f, range(pre_len + 1, pre_len + period_len + 1))),
+        )
 
-    def level(self, n: int) -> Level:
-        """The (M_n, D_n) pair; total for all n >= 1."""
+    def at(self, n: int) -> T:
         if n < 1:
-            raise ValueError("levels are 1-based")
+            raise ValueError("positions are 1-based")
         p = len(self.preperiod)
         if n <= p:
             return self.preperiod[n - 1]
         return self.period[(n - p - 1) % len(self.period)]
 
-    def distinct_levels(self) -> tuple[Level, ...]:
+    def __iter__(self) -> Iterator[T]:
+        # Most sequences have no preperiod, and a zero scan usually stops
+        # within three levels, so an empty chain in front is a measurable
+        # share of its cost.
+        periodic = cycle(self.period)
+        return chain(self.preperiod, periodic) if self.preperiod else periodic
+
+    def distinct(self) -> tuple[T, ...]:
+        """One entry per position of the representation: preperiod, then period."""
         return self.preperiod + self.period
 
+    def canonical(self):
+        """The same sequence with a primitive period and the preperiod's
+        trailing agreement with the period absorbed: the shortest
+        preperiod and the shortest period."""
+        period = self.period
+        r = len(period)
+        for length in range(1, r + 1):
+            if r % length == 0 and period == period[:length] * (r // length):
+                period = period[:length]
+                break
+        pre = self.preperiod
+        while pre and pre[-1] == period[-1]:
+            pre, period = pre[:-1], period[-1:] + period[:-1]
+        return replace(self, preperiod=pre, period=period)
+
+
+@dataclass(frozen=True)
+class MoranSystem(EventuallyPeriodic[Level]):
+    """Eventually periodic sequence of (matrix, digit set) levels."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for m, _ in self.distinct():
+            if not all(isinstance(e, (int, Fraction)) for e in m.entries()):
+                raise ValueError("system matrices must be exact (int or Fraction entries)")
+
+    @staticmethod
+    def constant(matrix: Mat2, digits: DigitSet) -> "MoranSystem":
+        return MoranSystem((), ((matrix, digits),))
+
+    level = EventuallyPeriodic.at
+
     def matrices(self) -> tuple[Mat2, ...]:
-        return tuple(m for m, _ in self.distinct_levels())
-
-    def occurs_only_at_level_one(self, i: int) -> bool:
-        """True iff distinct-level index i (0-based) occurs only as level 1.
-
-        Only a nonempty preperiod's first entry can be exclusive to level 1;
-        every period entry reappears at levels >= 2.
-        """
-        return i == 0 and len(self.preperiod) >= 1
-
-    def first_level_at_least_two(self, i: int) -> int:
-        """Smallest global level >= 2 where distinct-level index i occurs."""
-        p = len(self.preperiod)
-        if i == 0 and p == 0:
-            return 1 + len(self.period)
-        return i + 1
+        return tuple(m for m, _ in self.distinct())
 
 
-def canonicalize_eventually_periodic(pre: Sequence, period: Sequence):
-    """Minimal representation: primitive period, trailing agreement absorbed."""
-    period = list(period)
-    n = len(period)
-    for length in range(1, n + 1):
-        if n % length == 0 and period == period[:length] * (n // length):
-            period = period[:length]
-            break
-    pre = list(pre)
-    while pre and pre[-1] == period[-1]:
-        pre.pop()
-        period = [period[-1]] + period[:-1]
-    return tuple(pre), tuple(period)
-
-
-def canonical_representation(sys: MoranSystem) -> MoranSystem:
-    pre, period = canonicalize_eventually_periodic(sys.preperiod, sys.period)
-    return MoranSystem(pre, period)
+canonical_representation = MoranSystem.canonical
 
 
 def conjugate_system(sys: MoranSystem, q: Mat2) -> MoranSystem:
@@ -163,16 +174,13 @@ def conjugate_system(sys: MoranSystem, q: Mat2) -> MoranSystem:
         raise ValueError("conjugation needs a unimodular integer matrix")
     qinv = q.inverse()
 
-    def conj(level: Level) -> Level:
-        m, d = level
+    def conj(n: int) -> Level:
+        m, d = sys.at(n)
         mm = q * m * qinv
         mm = Mat2(*(int(e) for e in mm.entries())) if mm.is_integral() else mm
         return (mm, scaled_by_matrix(q, d))
 
-    return MoranSystem(
-        tuple(conj(l) for l in sys.preperiod),
-        tuple(conj(l) for l in sys.period),
-    )
+    return MoranSystem.from_function(conj, len(sys.preperiod), len(sys.period))
 
 
 # --- per-level analysis, cached on the (hashable) system -------------------
@@ -197,8 +205,8 @@ _FloatLevel = tuple[float, float, float, float, tuple[tuple[float, float], ...],
 
 @dataclass(frozen=True)
 class _Analysis:
-    levels: tuple[_LevelData, ...]
-    float_levels: tuple[_FloatLevel, ...]
+    levels: EventuallyPeriodic[_LevelData]
+    float_levels: EventuallyPeriodic[_FloatLevel]
     # float(||M_n^{-1}|| upper bound) * (1 + 1e-12) per preperiod level: the
     # orbit bound's growth factor while the preperiod is walked.
     preperiod_growth: tuple[float, ...]
@@ -218,12 +226,6 @@ class _Analysis:
     stop_scale: int
     stop_floor: int
 
-    def level_data(self, n: int) -> _LevelData:
-        p = self.preperiod_len
-        if n <= p:
-            return self.levels[n - 1]
-        return self.levels[p + (n - p - 1) % (len(self.levels) - p)]
-
 
 def _zero_norm_floor(digits: DigitSet) -> Fraction:
     """A positive rational below every ||eta|| with m_D(eta) = 0.
@@ -237,12 +239,15 @@ def _zero_norm_floor(digits: DigitSet) -> Fraction:
     return Fraction(1) / (2 * PI_UPPER * sqrt_upper(digits.max_norm_sq()))
 
 
+_NO_CONTRACTION = "period inverse products do not contract (no unrolling below 256 works)"
+
+
 @lru_cache(maxsize=256)
 def _analysis(sys: MoranSystem) -> _Analysis:
     levels = []
     float_levels = []
     inverses = []
-    for m, d in sys.distinct_levels():
+    for m, d in sys.distinct():
         if m.det() == 0:
             raise SystemInvalid("system matrix is singular")
         minv_t = m.transpose().inverse()
@@ -263,6 +268,10 @@ def _analysis(sys: MoranSystem) -> _Analysis:
         pts = tuple((float(dx), float(dy)) for dx, dy in d.points())
         acc0 = complex(pts[0] == (0.0, 0.0))
         float_levels.append((a, b, c, e, pts[1:] if acc0 else pts, len(pts), acc0))
+    # Were every anchor product below contracting, its inverse, the period
+    # product M_{p+1}^* ... M_{p+r}^*, would be expanding: test that first.
+    if not is_expanding(mat_product(m.transpose() for m, _ in sys.period)):
+        raise SystemInvalid(_NO_CONTRACTION)
     preperiod_growth = tuple(
         float(inverse_norm_upper(m)) * (1.0 + 1e-12) for m, _ in sys.preperiod
     )
@@ -301,15 +310,13 @@ def _analysis(sys: MoranSystem) -> _Analysis:
             break
         unroll *= 2
         if unroll > 256:
-            raise SystemInvalid(
-                "period inverse products do not contract (no unrolling below 256 works)"
-            )
+            raise SystemInvalid(_NO_CONTRACTION)
     zero_floor_sq = min(l.zero_norm_sq_floor for l in levels)
     gamma_up = max(l.gamma_up for l in levels)
     contraction = float(anchor)
     return _Analysis(
-        levels=tuple(levels),
-        float_levels=tuple(float_levels),
+        levels=EventuallyPeriodic(levels[:p], levels[p:]),
+        float_levels=EventuallyPeriodic(float_levels[:p], float_levels[p:]),
         preperiod_growth=preperiod_growth,
         anchor_step=contraction * (1.0 + 1e-12),
         tail_factor=2.0 * math.pi * float(gamma_up) * float(tail_sum) / (1.0 - contraction),
@@ -337,31 +344,26 @@ class ValidationReport:
     existence_bound: float                 # gamma * iota / (1 - iota)
 
 
-def _sigma_min(m: Mat2) -> float:
-    a = [float(x) for x in m.entries()]
-    s = sum(x * x for x in a)
-    d = a[0] * a[3] - a[1] * a[2]
-    disc = max(s * s - 4.0 * d * d, 0.0)
-    return math.sqrt(max((s - math.sqrt(disc)) / 2.0, 0.0))
-
-
 def validate(sys: MoranSystem) -> ValidationReport:
     """Expansion and contraction checks plus the existence bound.
 
     Every level must be expanding with ||M^{-1}|| < 1 (exact tests); the
-    report carries iota = max ||M_n^{-1}||, gamma = max ||d||, and the
-    support radius bound gamma * iota / (1 - iota) for the limit measure.
+    report carries iota >= max ||M_n^{-1}|| (the certified bound, rounded
+    up to a float), gamma = max ||d||, and the support radius bound
+    gamma * iota / (1 - iota) for the limit measure.
     """
     errors: list[tuple[str, int]] = []
     iota = 0.0
     gamma = 0.0
-    for i, (m, d) in enumerate(sys.distinct_levels(), start=1):
+    for i, (m, d) in enumerate(sys.distinct(), start=1):
         if not is_expanding(m):
             errors.append(("NotExpanding", i))
         elif not inverse_norm_below_one(m):
             errors.append(("NormAtLeastOne", i))
         else:
-            iota = max(iota, 1.0 / _sigma_min(m))
+            up = inverse_norm_upper(m)
+            f = float(up)
+            iota = max(iota, f if f >= up else math.nextafter(f, math.inf))
         gamma = max(gamma, math.sqrt(float(d.max_norm_sq())))
     if errors:
         bound = math.inf
@@ -396,25 +398,17 @@ def reduce_canonical(sys: MoranSystem) -> MoranSystem:
     """
     from .digitsets import canonical_digits
 
-    for _, d in sys.distinct_levels():
+    for _, d in sys.distinct():
         if not isinstance(d, StructuredDigitSet):
             raise OutOfTheoryError("canonical reduction needs structured digit sets")
-
-    p, r = len(sys.preperiod), len(sys.period)
     d0 = canonical_digits()
 
-    def q_of(n: int) -> Mat2:
-        if n == 0:
-            return Mat2.identity()
-        return sys.level(n)[1].q_matrix()  # type: ignore[union-attr]
-
     def reduced(n: int) -> Level:
-        m = sys.level(n)[0]
-        return (q_of(n).inverse() * m * q_of(n - 1), d0)
+        m, d = sys.at(n)
+        q_prev = sys.at(n - 1)[1].q_matrix() if n > 1 else Mat2.identity()
+        return (d.q_matrix().inverse() * m * q_prev, d0)  # type: ignore[union-attr]
 
-    new_pre = tuple(reduced(n) for n in range(1, p + 2))
-    new_period = tuple(reduced(n) for n in range(p + 2, p + r + 2))
-    return MoranSystem(new_pre, new_period)
+    return MoranSystem.from_function(reduced, len(sys.preperiod) + 1, len(sys.period))
 
 
 # --- Fourier product with certified truncation ------------------------------
@@ -471,12 +465,6 @@ def _truncation(ana: _Analysis, x: float, y: float, eps: float) -> tuple[int, fl
         bound *= step
 
 
-def _level_sequence(per_level: Sequence, p: int) -> Iterator:
-    """Levels 1, 2, 3, ... without end, from one entry per distinct level
-    (the p preperiod levels first, then the period)."""
-    return chain(per_level[:p], cycle(per_level[p:]))
-
-
 _I_TWO_PI = 1j * TWO_PI
 
 
@@ -498,8 +486,7 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
     levels, tail = _truncation(ana, x, y, eps)
     exp = cmath.exp
     value = complex(1.0)
-    table = _level_sequence(ana.float_levels, ana.preperiod_len)
-    for a, b, c, d, digits, n, acc in islice(table, levels):
+    for a, b, c, d, digits, n, acc in islice(ana.float_levels, levels):
         x, y = a * x + b * y, c * x + d * y
         for dx, dy in digits:
             acc += exp(_I_TWO_PI * (dx * x + dy * y))
@@ -528,11 +515,14 @@ def fourier_many(sys: MoranSystem, xis: Iterable, eps: float) -> Iterator[Fourie
 
 def _fourier_blocks(ana: _Analysis, xis: Iterator, eps: float) -> Iterator[FourierResult]:
     # Digit coordinates as (#D, 1) columns, broadcast against a block's orbit.
-    columns = [
-        (a, b, c, d, np.array([[dx] for dx, _ in pts]), np.array([[dy] for _, dy in pts]),
-         acc0, 1.0 / n)
-        for a, b, c, d, pts, n, acc0 in ana.float_levels
-    ]
+    fl = ana.float_levels
+
+    def column(j: int):
+        a, b, c, d, pts, n, acc0 = fl.at(j)
+        return (a, b, c, d, np.array([[dx] for dx, _ in pts]),
+                np.array([[dy] for _, dy in pts]), acc0, 1.0 / n)
+
+    columns = EventuallyPeriodic.from_function(column, len(fl.preperiod), len(fl.period))
     while block := [_float_point(xi) for xi in islice(xis, FOURIER_BLOCK)]:
         cuts = [_truncation(ana, x, y, eps) for x, y in block]
         # Sorted by level, the points still running at level j are a suffix
@@ -543,8 +533,7 @@ def _fourier_blocks(ana: _Analysis, xis: Iterator, eps: float) -> Iterator[Fouri
         x = np.array([block[i][0] for i in order[start:]])
         y = np.array([block[i][1] for i in order[start:]])
         value = np.ones(len(block), dtype=complex)
-        table = _level_sequence(columns, ana.preperiod_len)
-        for j, (a, b, c, d, dxs, dys, acc0, inv_n) in enumerate(islice(table, ends[-1]), 1):
+        for j, (a, b, c, d, dxs, dys, acc0, inv_n) in enumerate(islice(columns, ends[-1]), 1):
             x, y = a * x + b * y, c * x + d * y
             terms = np.exp(_I_TWO_PI * (dxs * x + dys * y))
             value[start:] *= (acc0 + terms.sum(axis=0)) * inv_n
@@ -601,12 +590,9 @@ def fourier_zero_exact(sys: MoranSystem, xi) -> Optional[ZeroCertificate]:
     ana = _analysis(sys)
     xi = rational_vec(xi)
     nx, ny, den = over_common_denominator(xi)
-    j = 0
-    while True:
-        if j >= MAX_SCAN_LEVELS:
+    for j, lv in enumerate(ana.levels, 1):
+        if j > MAX_SCAN_LEVELS:
             raise CapExceeded("zero scan exceeded hard cap")
-        j += 1
-        lv = ana.level_data(j)
         a, b, c, d = lv.minv_t_num
         nx, ny, den = a * nx + b * ny, c * nx + d * ny, den * lv.minv_t_den
         g = math.gcd(nx, ny, den)
@@ -633,7 +619,7 @@ def fourier_zero_exact(sys: MoranSystem, xi) -> Optional[ZeroCertificate]:
 
 
 @dataclass(frozen=True)
-class TWord:
+class TWord(EventuallyPeriodic[int]):
     """Eventually periodic word over {1..m} with scale list t_1 < ... < t_m.
 
     The word sigma selects digit sets D_n = t_{sigma_n} * canonical; the
@@ -642,17 +628,14 @@ class TWord:
     callers produce out-of-theory verdicts instead of hard errors).
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
     t_values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.period:
-            raise ValueError("word period must be nonempty")
+        super().__post_init__()
         m = len(self.t_values)
         if m == 0:
             raise ValueError("t_values must be nonempty")
-        for letter in self.preperiod + self.period:
+        for letter in self.distinct():
             if not (isinstance(letter, int) and 1 <= letter <= m):
                 raise ValueError(f"letter {letter!r} outside alphabet 1..{m}")
 
@@ -670,21 +653,6 @@ class TWord:
                     return f"scale values {ts[i]} and {ts[k]} are not coprime"
         return None
 
-    def letter(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("positions are 1-based")
-        p = len(self.preperiod)
-        if n <= p:
-            return self.preperiod[n - 1]
-        return self.period[(n - p - 1) % len(self.period)]
-
-    def letters_used(self) -> set[int]:
-        return set(self.preperiod) | set(self.period)
-
-    def canonical(self) -> "TWord":
-        pre, period = canonicalize_eventually_periodic(self.preperiod, self.period)
-        return TWord(pre, period, self.t_values)
-
     def eventually_constant_letter(self) -> Optional[int]:
         """The tail letter if sigma is eventually constant, else None."""
         c = self.canonical()
@@ -698,23 +666,18 @@ def realize_word_system(
     matrix sequence and digits D_n = t_{sigma_n} * canonical."""
     from .digitsets import scaled_canonical
 
-    if not matrix_period:
-        raise ValueError("matrix period must be nonempty")
-    pre_len = max(len(word.preperiod), len(matrix_preperiod))
-    r = math.lcm(len(word.period), len(matrix_period))
-
-    def matrix_at(n: int) -> Mat2:
-        p = len(matrix_preperiod)
-        if n <= p:
-            return matrix_preperiod[n - 1]
-        return matrix_period[(n - p - 1) % len(matrix_period)]
+    matrices = EventuallyPeriodic(matrix_preperiod, matrix_period)
 
     def level_at(n: int) -> Level:
-        return (matrix_at(n), scaled_canonical(word.t_values[word.letter(n) - 1]))
+        return (matrices.at(n), scaled_canonical(word.t_values[word.at(n) - 1]))
 
-    pre = tuple(level_at(n) for n in range(1, pre_len + 1))
-    period = tuple(level_at(n) for n in range(pre_len + 1, pre_len + r + 1))
-    return MoranSystem(pre, period)
+    # Both sequences are periodic past the longer preperiod, jointly with
+    # the lcm of the periods.
+    return MoranSystem.from_function(
+        level_at,
+        max(len(word.preperiod), len(matrices.preperiod)),
+        math.lcm(len(word.period), len(matrices.period)),
+    )
 
 
 def integer_periodic_zero_nonempty(
@@ -742,7 +705,7 @@ def integer_periodic_zero_nonempty(
             raise OutOfTheoryError(f"matrix {m.rows()} has |det| != 4")
         if not inverse_norm_below_one(m):
             raise OutOfTheoryError(f"matrix {m.rows()} has ||M^-1|| >= 1")
-    letters = word.letters_used()
+    letters = set(word.distinct())
     if len(letters) != 1:
         return (False, None)
     t = word.t_values[next(iter(letters)) - 1]

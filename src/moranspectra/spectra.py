@@ -80,7 +80,7 @@ class SpectrumTower:
 
 def build_tower(sys: MoranSystem) -> SpectrumTower:
     """Construct and exactly verify the half-lattice companion tower."""
-    levels = sys.distinct_levels()
+    levels = sys.distinct()
     for _, d in levels:
         if not isinstance(d, StructuredDigitSet):
             raise OutOfTheoryError("towers need structured digit sets")

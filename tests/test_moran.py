@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from moranspectra.digitsets import canonical_digits, scaled_canonical, validate_structured
 from moranspectra.lattice import Mat2
 from moranspectra.mask import digit_mask_zero
+from moranspectra import moran
 from moranspectra.moran import (
     CapExceeded,
+    EventuallyPeriodic,
     MoranSystem,
     OutOfTheoryError,
     TWord,
@@ -23,6 +25,7 @@ from moranspectra.moran import (
     integer_periodic_zero_nonempty,
     realize_word_system,
     reduce_canonical,
+    SystemInvalid,
     validate,
 )
 
@@ -305,3 +308,50 @@ class TestRepresentation:
         assert sysm.level(4)[0] == I4
         with pytest.raises(ValueError):
             sysm.level(0)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.integers(0, 2), max_size=5),
+        st.lists(st.integers(0, 2), min_size=1, max_size=5),
+    )
+    def test_eventually_periodic_properties(self, pre, period):
+        seq = EventuallyPeriodic(pre, period)
+        horizon = 3 * (len(pre) + len(period))
+        items = [x for _, x in zip(range(horizon), seq)]
+        assert items == [seq.at(n) for n in range(1, horizon + 1)]
+        with pytest.raises(ValueError):
+            seq.at(0)
+
+        canon = seq.canonical()
+        assert [canon.at(n) for n in range(1, horizon + 1)] == items
+        # Minimal: no representation with a preperiod and a period no longer
+        # than the canonical ones, other than the canonical one, gives the
+        # sequence (n > p' must satisfy a_n = a_{n + r'}).
+        p, r = len(canon.preperiod), len(canon.period)
+        for p2 in range(p + 1):
+            for r2 in range(1, r + 1):
+                if (p2, r2) != (p, r):
+                    assert any(
+                        canon.at(n) != canon.at(n + r2) for n in range(p2 + 1, p + r + 1)
+                    ), (p2, r2)
+
+        built = EventuallyPeriodic.from_function(seq.at, len(pre) + 1, 2 * len(period))
+        assert (len(built.preperiod), len(built.period)) == (len(pre) + 1, 2 * len(period))
+        assert [built.at(n) for n in range(1, horizon + 1)] == items
+
+    def test_empty_period_rejected(self):
+        with pytest.raises(ValueError, match="period must be nonempty"):
+            EventuallyPeriodic((1,), ())
+
+
+class TestAnalysis:
+    def test_non_expanding_period_rejected_up_front(self, monkeypatch):
+        """A period whose product is not expanding is rejected before the
+        period is unrolled: no operator norm bounds beyond one per level."""
+        calls = []
+        norm = moran.operator_norm_upper
+        monkeypatch.setattr(moran, "operator_norm_upper", lambda m: calls.append(m) or norm(m))
+        sysm = MoranSystem.constant(Mat2(1, 0, 0, 2), D0)
+        with pytest.raises(SystemInvalid, match="period inverse products do not contract"):
+            moran._analysis(sysm)
+        assert len(calls) <= len(sysm.distinct())
