@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -293,14 +294,17 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main`
+    call (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="moranspectra",
         description="Spectral analysis of planar Moran measures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **_kw):
+    def add(name: str):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a config file")
         p.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
@@ -344,10 +348,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = _read_config(args.config)
         report.inputs["echo"] = format_config(cfg)
         code = _COMMANDS[args.command](cfg, args, report)
-    except ConfigError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapExceeded as exc:

@@ -8,21 +8,17 @@ polynomial with m_D(0) = 1 and |m_D| <= 1.  Numeric evaluation lives in
 * structured four-point sets use the closed-form zero set
   Z(m_D) = {xi : 2 Q^t xi in Z^2 \\ 2 Z^2},
 * arbitrary finite sets reduce to "does a sum of rational-exponent roots of
-  unity vanish", decided by remainder against the cyclotomic polynomial of
-  the common denominator.
-
-A vanishing sum of exactly four unit roots must split into two antipodal
-pairs; that combinatorial shortcut is the fast path for the four-point sets
-and a cross-check against the cyclotomic route.
+  unity vanish", decided by one sparse recursion (`_vanishes`) that splits
+  the sum over the prime factors of its reduced common denominator.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .digitsets import DigitSet, StructuredDigitSet
@@ -56,61 +52,69 @@ def eval_mask(digits: DigitSet, xi) -> complex:
 # --- exact vanishing of root-of-unity sums --------------------------------
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial.
+def _small_prime_factor(q: int, bound: int) -> int | None:
+    """Smallest prime factor of q > 1 when it is at most `bound`, else None."""
+    d = 2
+    while d <= bound and d * d <= q:
+        if q % d == 0:
+            return d
+        d += 1
+    return q if q <= bound else None
 
-    Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, computed by exact integer
-    polynomial division; the divisor chain keeps everything monic.
+
+def _vanishes(terms: dict[int, int], q: int) -> bool:
+    """Exact test of sum_k c_k zeta_q^k = 0 for terms {k mod q: c_k}, q >= 1.
+
+    Lam-Leung, J. Algebra 224 (2000).  Let p be the smallest prime of q and
+    p^e exactly divide q.  If e >= 2, 1, zeta_q, ..., zeta_q^(s-1) with
+    s = p^(e-1) is a basis of Q(zeta_q) over Q(zeta_{q/s}), so each class
+    k mod s must vanish.  If e = 1, CRT writes the sum as sum_a zeta_p^a X_a
+    with X_a in Q(zeta_{q/p}), which vanishes iff every X_a equals X_0.  A
+    prime above the number of terms leaves some X_a empty, so every X_a must
+    vanish; the prime search stops there.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_div_exact(num, list(cyclotomic_coeffs(d)))
-    return tuple(num)
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of integer polynomials known to divide exactly (den monic)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        coef = num[k + len(den) - 1]
-        out[k] = coef
-        if coef:
-            for i, c in enumerate(den):
-                num[k + i] -= coef * c
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return out
-
-
-def _poly_rem_is_zero(coeffs: Sequence[int], monic: Sequence[int]) -> bool:
-    """True iff the integer polynomial with given coefficients is divisible
-    by the monic integer polynomial `monic`."""
-    work = list(coeffs)
-    deg_m = len(monic) - 1
-    for k in range(len(work) - 1, deg_m - 1, -1):
-        coef = work[k]
-        if coef:
-            for i in range(deg_m + 1):
-                work[k - deg_m + i] -= coef * monic[i]
-    return not any(work)
+    terms = {k: c for k, c in terms.items() if c}
+    if not terms:
+        return True
+    g = math.gcd(q, *terms)
+    if g > 1:
+        q //= g
+        terms = {k // g: c for k, c in terms.items()}
+    p = _small_prime_factor(q, len(terms)) if q > 1 else None
+    if p is None:  # one term over q = 1, or every prime of q exceeds #terms
+        return False
+    s = 1
+    while q % (s * p * p) == 0:
+        s *= p
+    classes: dict[int, dict[int, int]] = {}
+    if s > 1:
+        for k, c in terms.items():
+            classes.setdefault(k % s, {})[k // s] = c
+        return all(_vanishes(x, q // s) for x in classes.values())
+    r = q // p
+    if r == 1:  # p <= #terms <= q = p, so every residue is present
+        return len(set(terms.values())) == 1
+    r_inv, p_inv = pow(r, -1, p), pow(p, -1, r)
+    for k, c in terms.items():
+        classes.setdefault(k * r_inv % p, {})[k * p_inv % r] = c
+    x0 = classes.get(0, {})
+    for a in range(1, p):
+        diff = dict(x0)
+        for b, c in classes.get(a, {}).items():
+            diff[b] = diff.get(b, 0) - c
+        if not _vanishes(diff, r):
+            return False
+    return True
 
 
 MAX_DENSE_DENOMINATOR = 100_000
 
 
-def _check_dense_denominator(q: int) -> None:
-    """The dense test allocates q coefficients and divides by Phi_q; refuse
-    denominators past MAX_DENSE_DENOMINATOR before doing either."""
-    if q > MAX_DENSE_DENOMINATOR:
+def _check_dense_denominator(q: int, n_terms: int = 0) -> None:
+    """Refuse a reduced denominator q past MAX_DENSE_DENOMINATOR as the
+    earlier dense Phi_q test did; the sparse kernel bounds its own work.
+    Four-term sums, which that test decided by pairing, stay exempt."""
+    if q > MAX_DENSE_DENOMINATOR and n_terms != 4:
         raise ValueError(
             f"common denominator {q} too large for the dense cyclotomic test"
         )
@@ -137,29 +141,10 @@ class UnityRootSum:
         return sum(c * cmath.exp(1j * TWO_PI * float(e)) for e, c in self.counts)
 
     def is_zero(self) -> bool:
-        if not self.counts:
-            return True
-        if self.total() == 4:
-            return self._antipodal_pairing_zero()
-        return self._cyclotomic_zero()
-
-    def _antipodal_pairing_zero(self) -> bool:
-        # A vanishing 4-term sum of unit roots is two pairs differing by 1/2.
-        counts = dict(self.counts)
-        half = Fraction(1, 2)
-        return all(counts.get((e + half) % 1, 0) == c for e, c in counts.items())
-
-    def _cyclotomic_zero(self) -> bool:
-        q = 1
-        for e, _ in self.counts:
-            q = math.lcm(q, e.denominator)
-        _check_dense_denominator(q)
-        coeffs = [0] * q
-        for e, c in self.counts:
-            coeffs[int(e * q)] += c
-        if q == 1:
-            return coeffs[0] == 0
-        return _poly_rem_is_zero(coeffs, cyclotomic_coeffs(q))
+        q = math.lcm(*(e.denominator for e, _ in self.counts))
+        _check_dense_denominator(q, self.total())
+        terms = {e.numerator * (q // e.denominator) % q: c for e, c in self.counts}
+        return _vanishes(terms, q)
 
 
 def unity_sum_is_zero(exponents: Iterable) -> bool:
@@ -171,16 +156,11 @@ def unity_sum_is_zero_ints(numerators: Iterable[int], q: int) -> bool:
     """Exact vanishing of sum_k exp(2 pi i n_k / q) from integer numerators.
 
     Same verdict as `unity_sum_is_zero` on fractions n_k/q, and the same
-    ValueError when q itself is past the dense test's limit; skips Fraction
+    ValueError when q itself is past MAX_DENSE_DENOMINATOR; skips Fraction
     construction for hot loops (the discrete spectral-pair oracle).
     """
     _check_dense_denominator(q)
-    coeffs = [0] * q
-    for k in numerators:
-        coeffs[k % q] += 1
-    if q == 1:
-        return coeffs[0] == 0
-    return _poly_rem_is_zero(coeffs, cyclotomic_coeffs(q))
+    return _vanishes(Counter(k % q for k in numerators), q)
 
 
 # --- exact mask zero tests -------------------------------------------------
@@ -226,10 +206,20 @@ def mask_zero_exact(digits: StructuredDigitSet, xi) -> bool:
     return structured_zero_ints(digits, *over_common_denominator(xi))
 
 
+def generic_zero_ints(digits: DigitSet, nx: int, ny: int, den: int) -> bool:
+    """Exact zero test for any finite digit set at xi = (nx, ny) / den,
+    den > 0: the unit-root sum of the numerators dx nx + dy ny over den,
+    reduced by their common gcd with den."""
+    nums = [dx * nx + dy * ny for dx, dy in digits.points()]
+    g = math.gcd(den, *nums)
+    q = den // g
+    _check_dense_denominator(q, len(nums))
+    return _vanishes(Counter(n // g % q for n in nums), q)
+
+
 def mask_zero_exact_generic(digits: DigitSet, xi) -> bool:
-    """Exact zero test for any finite digit set and rational xi."""
-    x, y = rational_vec(xi)
-    return unity_sum_is_zero((dx * x + dy * y) % 1 for dx, dy in digits.points())
+    """`generic_zero_ints` at a rational point."""
+    return generic_zero_ints(digits, *over_common_denominator(xi))
 
 
 def digit_mask_zero(digits: DigitSet, xi) -> bool:

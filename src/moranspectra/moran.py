@@ -58,7 +58,7 @@ from .lattice import (
 from .mask import (
     TWO_PI,
     digit_mask_zero,
-    mask_zero_exact_generic,
+    generic_zero_ints,
     over_common_denominator,
     rational_vec,
     structured_zero_ints,
@@ -583,9 +583,9 @@ def fourier_zero_exact(sys: MoranSystem, xi) -> Optional[ZeroCertificate]:
     stops with None.
 
     The orbit is carried as integer numerators (nx, ny) over one denominator,
-    reduced by their gcd at every level; the structured closed-form zero test
-    and the stop test run on those integers.  Generic digit sets take the
-    cyclotomic route on the same point as Fractions.
+    reduced by their gcd at every level; the structured closed-form zero test,
+    the generic unit-root sum test (`mask.generic_zero_ints`) and the stop
+    test all run on those integers.
     """
     ana = _analysis(sys)
     xi = rational_vec(xi)
@@ -601,7 +601,7 @@ def fourier_zero_exact(sys: MoranSystem, xi) -> Optional[ZeroCertificate]:
         if isinstance(lv.digits, StructuredDigitSet):
             hit = structured_zero_ints(lv.digits, nx, ny, den)
         else:
-            hit = mask_zero_exact_generic(lv.digits, (Fraction(nx, den), Fraction(ny, den)))
+            hit = generic_zero_ints(lv.digits, nx, ny, den)
         if hit:
             return ZeroCertificate(
                 level=j,

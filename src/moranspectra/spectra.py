@@ -35,6 +35,7 @@ from .moran import (
     DEFAULT_POINT_CAP,
     MoranSystem,
     OutOfTheoryError,
+    _float_point,
     fourier_many,
     fourier_zero_exact,
 )
@@ -251,7 +252,7 @@ def completeness_sum(
         raise ValueError("tolerance must be positive")
     if not points:
         return 0.0
-    x, y = float(xi[0]), float(xi[1])
+    x, y = _float_point(xi)
     shifted = ((x + float(lx), y + float(ly)) for lx, ly in points)
     total = 0.0
     for res in fourier_many(sys, shifted, eps / len(points)):
@@ -288,7 +289,7 @@ def completeness_report(
     """
     if not nested_sets:
         raise ValueError("need at least one candidate set")
-    xs = [(float(x), float(y)) for x, y in samples]
+    xs = [_float_point(s) for s in samples]
     monotone = True
     final_q: list[float] = []
     for xi in xs:

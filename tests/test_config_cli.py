@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moranspectra.cli import main
+from moranspectra.cli import build_parser, main
 from moranspectra.config import (
     ConfigError,
     HadamardSpec,
@@ -276,3 +281,54 @@ class TestDeterminism:
             raise AssertionError("no JSON block")
 
         assert block(first) == block(second)
+
+
+# --- fuzzing the command line -------------------------------------------------
+
+XI_PARTS = ["", " 1/2 ", "-3/4", "0", "1/0", "nan", "inf", "-inf", "1e400", "0.3",
+            "1e-320", "9" * 60 + "/7", "1/" + "9" * 60, "x", "1/2/3", "1e"]
+xi_strings = st.one_of(
+    st.tuples(st.sampled_from(XI_PARTS), st.sampled_from(XI_PARTS)).map(",".join),
+    st.sampled_from(XI_PARTS),
+    st.text(max_size=6),
+)
+flag_values = st.one_of(
+    xi_strings,
+    st.sampled_from(["-1", "0", "1", "2", "3", "tower", "lattice", "1e9", "nan"]),
+)
+flags = st.sampled_from(["--xi", "--eps", "--depth", "--box", "--grid", "--level",
+                         "--oracle-cap", "--kind", "--cap", "--check", "--out", "--bogus"])
+commands = st.sampled_from(["validate", "classify", "hadamard", "zero", "fourier",
+                            "spectrum", "oracle", "emit", "", "nope", "-h"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    commands,
+    st.sampled_from(["cfg.txt", "missing.txt", "", "."]),
+    st.lists(st.tuples(flags, flag_values), max_size=4),
+    st.booleans(),
+)
+def test_cli_fuzz_exit_codes(tmp_path_factory, command, config, pairs, drop_value):
+    """Any argv ends in a documented exit code (argparse's SystemExit counts
+    as its code), never another exception; the shared parser keeps serving
+    later calls unchanged."""
+    workdir = tmp_path_factory.getbasetemp() / "fuzz"
+    workdir.mkdir(exist_ok=True)
+    (workdir / "cfg.txt").write_text(CONST_2I)
+    argv = [command, config] if command else []
+    for flag, value in pairs:
+        argv += [flag] if drop_value else [flag, value]
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert main(["validate", "cfg.txt"]) == 0
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2, 3, 4), argv
+    assert build_parser() is build_parser()

@@ -268,7 +268,7 @@ def test_validation_iota_close_to_certified_bound():
 # The references below walk pairs, orbits and inner products in plain
 # Fraction arithmetic, one exact test per pair or level, with nothing shared
 # with the integer paths in src/ except `_analysis`'s certified stop bounds
-# and the generic cyclotomic kernel.
+# and the sparse vanishing-sum kernel for generic digit sets.
 
 
 def _reference_zero_scan(sysm, xi):
@@ -420,9 +420,9 @@ def test_zero_certificates_match_fraction_scan():
 def test_oracle_matches_per_pair_unity_sums():
     """The oracle's exact verdict (isolated by an infinite numeric tolerance)
     equals a pair-by-pair Fraction check on towers, translated towers and
-    towers with planted shifts.  Denominators stay small: the oracle's dense
-    cyclotomic test grows with the product of the atom and candidate
-    denominators."""
+    towers with planted shifts.  Denominators stay small: the oracle refuses
+    a product of the atom and candidate denominators past the
+    vanishing-sum kernel's limit."""
     rng = random.Random(505)
     outcomes = set()
     for name, base in CROSS_SYSTEMS.items():

@@ -17,7 +17,6 @@ from moranspectra.mask import (
     CardinalityMismatch,
     SingularMatrix,
     UnityRootSum,
-    cyclotomic_coeffs,
     eval_mask,
     is_hadamard_triple,
     mask_zero_exact,
@@ -149,9 +148,14 @@ exponents4 = st.lists(
 
 @given(exponents4)
 def test_four_term_pairing_matches_cyclotomic(exps):
+    """A sum of four unit roots vanishes iff it splits into two pairs whose
+    exponents differ by 1/2: the combinatorial rule, written out here."""
     s = UnityRootSum.from_exponents(exps)
     assert s.total() == 4
-    assert s._antipodal_pairing_zero() == s._cyclotomic_zero()
+    counts = dict(s.counts)
+    half = Fraction(1, 2)
+    paired = all(counts.get((e + half) % 1, 0) == c for e, c in counts.items())
+    assert s.is_zero() == paired
 
 
 @given(
@@ -165,13 +169,36 @@ def test_unity_sum_matches_numeric_magnitude(q, nums):
 
 
 def test_cyclotomic_against_sympy():
+    """`unity_sum_is_zero_ints` against the remainder of the dense
+    polynomial sum_k x^(n_k) by sympy's cyclotomic polynomial Phi_q, on
+    random sums and on planted unions of rotated p-cycles (p | q), some with
+    one extra term."""
     import sympy
 
     x = sympy.symbols("x")
-    for n in range(1, 81):
-        ours = list(cyclotomic_coeffs(n))
-        theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
-        assert ours == [int(c) for c in theirs], n
+    rng = random.Random(606)
+    verdicts = []
+    for case in range(150):
+        q = rng.randint(2, 420)
+        if case % 2:
+            primes = sympy.primefactors(q)
+            nums = []
+            for _ in range(rng.randint(1, 3)):
+                p, s = rng.choice(primes), rng.randrange(q)
+                nums += [s + j * (q // p) for j in range(p)]
+            if case % 3 == 0:
+                nums.append(rng.randrange(q))
+        else:
+            nums = [rng.randrange(q) for _ in range(rng.randint(1, 12))]
+        coeffs = [0] * q
+        for n in nums:
+            coeffs[n % q] += 1
+        phi = sympy.cyclotomic_poly(q, x, polys=True)
+        rem = sympy.Poly(coeffs[::-1], x, domain="ZZ").rem(phi)
+        verdict = unity_sum_is_zero_ints(nums, q)
+        assert verdict == rem.is_zero, (q, nums)
+        verdicts.append(verdict)
+    assert 40 < sum(verdicts) < 110
 
 
 def test_mask_bound_and_normalization():

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -236,6 +238,24 @@ class TestOracle:
     def test_level_cap(self):
         with pytest.raises(CapExceeded):
             discrete_spectrum_oracle(SYS2, 5, [(0, 0)] * 4**5)
+
+    def test_exact_check_reduces_the_common_denominator(self):
+        """One shifted point puts the atom-times-candidate denominator at
+        4 * 7429; the exact check decides it in milliseconds, and a
+        denominator past the limit still raises the pinned ValueError."""
+        tower = enumerate_tower(build_tower(SYS2), 2)
+
+        def shifted(dx, dy):
+            return [(tower[0][0] + dx, tower[0][1] + dy)] + tower[1:]
+
+        pts = shifted(Fraction(1, 17) + Fraction(1, 23), Fraction(2, 19))
+        start = time.perf_counter()
+        rep = discrete_spectrum_oracle(SYS2, 2, pts, tol=math.inf)
+        assert time.perf_counter() - start < 0.1
+        assert not rep.unitary
+        pts = shifted(Fraction(1, 17) + Fraction(1, 23), Fraction(2, 19) + Fraction(1, 5))
+        with pytest.raises(ValueError, match="too large for the dense cyclotomic test"):
+            discrete_spectrum_oracle(SYS2, 2, pts, tol=math.inf)
 
     def test_oracle_consistency_up_to_three(self):
         for sysm in (SYS2, SYS4):
