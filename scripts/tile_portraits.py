@@ -8,18 +8,11 @@ Writes CSVs under the output directory (default ./portraits):
 Usage: python scripts/tile_portraits.py [outdir] [depth] [grid]
 """
 
-import csv
 import sys
 from pathlib import Path
 
-from moranspectra import (
-    Mat2,
-    MoranSystem,
-    attractor_points,
-    canonical_digits,
-    fourier_many,
-    scaled_canonical,
-)
+from moranspectra import Mat2, MoranSystem, canonical_digits, scaled_canonical
+from moranspectra.cli import write_attractor_csv, write_fourier_grid_csv
 
 GALLERY = {
     "tile_2i": MoranSystem.constant(Mat2.scalar(2), canonical_digits()),
@@ -34,24 +27,10 @@ def main() -> None:
     depth = int(sys.argv[2]) if len(sys.argv) > 2 else 6
     grid = int(sys.argv[3]) if len(sys.argv) > 3 else 81
     outdir.mkdir(parents=True, exist_ok=True)
-    box = 4.0
-    axis = [-box + 2 * box * i / (grid - 1) for i in range(grid)]
-
-    def grid_points():
-        return ((x, y) for x in axis for y in axis)
-
     for name, sysm in GALLERY.items():
-        pts = attractor_points(sysm, depth)
-        with (outdir / f"{name}_attractor.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            writer.writerows(pts)
-        with (outdir / f"{name}_grid.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "absval"])
-            for (x, y), res in zip(grid_points(), fourier_many(sysm, grid_points(), 1e-6)):
-                writer.writerow([x, y, abs(res.value)])
-        print(f"{name}: {len(pts)} attractor points, {grid}x{grid} grid -> {outdir}")
+        count = write_attractor_csv(outdir / f"{name}_attractor.csv", sysm, depth)
+        write_fourier_grid_csv(outdir / f"{name}_grid.csv", sysm, 4.0, grid, 1e-6)
+        print(f"{name}: {count} attractor points, {grid}x{grid} grid -> {outdir}")
 
 
 if __name__ == "__main__":

@@ -18,11 +18,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .digitsets import StructuredDigitSet, scaled_t_of
-from .lattice import Mat2, in_gl2_2z, inverse_norm_below_one, is_expanding
-from .moran import MoranSystem, TWord, conjugate_system
+from .lattice import Mat2
+from .moran import (
+    DET_4,
+    DET_ABOVE_4,
+    DET_AT_LEAST_4,
+    EXPANDING,
+    IN_GL2_2Z,
+    NORM_BELOW_1,
+    Hypothesis,
+    MoranSystem,
+    TWord,
+    conjugate_system,
+    first_failure,
+    word_hypotheses_problem,
+)
 
 SPECTRAL = "Spectral"
 NOT_SPECTRAL = "NotSpectral"
@@ -46,26 +60,33 @@ class Verdict:
         return self.outcome in (SPECTRAL, NOT_SPECTRAL)
 
 
-def _fmt(m: Mat2) -> str:
-    return str([list(r) for r in m.rows()])
-
-
 def _all_structured(sys: MoranSystem) -> bool:
     return all(isinstance(d, StructuredDigitSet) for _, d in sys.distinct())
 
 
-def _odd_matrix_from_level_two(sys: MoranSystem, rule: str) -> Optional[Verdict]:
-    """NotSpectral when a matrix used at some level >= 2 is not in GL(2,2Z).
+def _structured_rule(
+    sys: MoranSystem, rule: str, checks: Sequence[Hypothesis]
+) -> Optional[Verdict]:
+    """OutOfTheory at the first failed hypothesis of a rule on four-point
+    structured digits, NotSpectral when a matrix used at some level >= 2 is
+    not in GL(2,2Z), else None.
 
     Distinct levels are tried in order, each cited at its first level >= 2:
     a preperiod's first entry never recurs, and with no preperiod the first
     period entry recurs at level 1 + r.
     """
+    if not _all_structured(sys):
+        return Verdict(OUT_OF_THEORY, rule, f"{rule} needs four-point structured digit sets")
+    problem = first_failure(sys.matrices(), checks)
+    if problem:
+        return Verdict(OUT_OF_THEORY, rule, problem)
     p, r = len(sys.preperiod), len(sys.period)
-    for i, (m, _) in enumerate(sys.distinct()):
-        if (i > 0 or p == 0) and not in_gl2_2z(m):
+    for i, m in enumerate(sys.matrices()):
+        if i > 0 or p == 0:
             level = i + 1 if i > 0 else 1 + r
-            return Verdict(NOT_SPECTRAL, rule, f"level {level} matrix {_fmt(m)} is not in GL(2,2Z)")
+            problem = first_failure((m,), (IN_GL2_2Z,), noun=f"level {level} matrix")
+            if problem:
+                return Verdict(NOT_SPECTRAL, rule, problem)
     return None
 
 
@@ -75,20 +96,7 @@ def _odd_matrix_from_level_two(sys: MoranSystem, rule: str) -> Optional[Verdict]
 def classify_thm14(sys: MoranSystem) -> Verdict:
     """Iff rule for structured digits with |det| > 4 and uniform contraction:
     spectral exactly when every matrix from level 2 on has all-even entries."""
-    if not _all_structured(sys):
-        return Verdict(OUT_OF_THEORY, RULE_T14, "T1.4 needs four-point structured digit sets")
-    for m, _ in sys.distinct():
-        if abs(m.det()) <= 4:
-            return Verdict(
-                OUT_OF_THEORY, RULE_T14, f"|det {_fmt(m)}| = {abs(m.det())} is not > 4"
-            )
-        if not is_expanding(m):
-            return Verdict(OUT_OF_THEORY, RULE_T14, f"matrix {_fmt(m)} is not expanding")
-        if not inverse_norm_below_one(m):
-            return Verdict(
-                OUT_OF_THEORY, RULE_T14, f"matrix {_fmt(m)} has ||M^-1|| >= 1"
-            )
-    return _odd_matrix_from_level_two(sys, RULE_T14) or Verdict(
+    return _structured_rule(sys, RULE_T14, (DET_ABOVE_4, EXPANDING, NORM_BELOW_1)) or Verdict(
         SPECTRAL,
         RULE_T14,
         "all |det| > 4, all ||M^-1|| < 1, and every matrix from level 2 on is in GL(2,2Z)",
@@ -101,16 +109,7 @@ def classify_thm14(sys: MoranSystem) -> Verdict:
 def classify_thm11(sys: MoranSystem) -> Verdict:
     """Necessity-only rule: with |det| >= 4 throughout and bounded digit
     determinants, an odd-entry matrix at any level >= 2 forces NotSpectral."""
-    if not _all_structured(sys):
-        return Verdict(OUT_OF_THEORY, RULE_T11, "T1.1 needs four-point structured digit sets")
-    for m, _ in sys.distinct():
-        if abs(m.det()) < 4:
-            return Verdict(
-                OUT_OF_THEORY, RULE_T11, f"|det {_fmt(m)}| = {abs(m.det())} is not >= 4"
-            )
-        if not is_expanding(m):
-            return Verdict(OUT_OF_THEORY, RULE_T11, f"matrix {_fmt(m)} is not expanding")
-    return _odd_matrix_from_level_two(sys, RULE_T11) or Verdict(
+    return _structured_rule(sys, RULE_T11, (DET_AT_LEAST_4, EXPANDING)) or Verdict(
         OUT_OF_THEORY,
         RULE_T11,
         "necessity rule found no even-entry violation (it proves nothing positive)",
@@ -120,30 +119,11 @@ def classify_thm11(sys: MoranSystem) -> Verdict:
 # --- rule T1.5: word criterion over coprime scales ---------------------------
 
 
-def _word_matrix_problem(matrices: Iterable[Mat2]) -> Optional[str]:
-    mats = list(matrices)
-    if not mats:
-        return "no matrices supplied"
-    for m in mats:
-        if not is_expanding(m):
-            return f"matrix {_fmt(m)} is not expanding"
-        if not in_gl2_2z(m):
-            return f"matrix {_fmt(m)} is not in GL(2,2Z)"
-        if abs(m.det()) != 4:
-            return f"|det {_fmt(m)}| = {abs(m.det())} is not 4"
-        if not inverse_norm_below_one(m):
-            return f"matrix {_fmt(m)} has ||M^-1|| >= 1"
-    return None
-
-
 def classify_thm15(word: TWord, matrices: Iterable[Mat2]) -> Verdict:
     """Iff word rule for |det| = 4 even-matrix systems with digit scales
     t_{sigma_n}: non-spectral exactly when sigma is eventually constant at a
     letter j != 1 after at least one differing letter."""
-    problem = _word_matrix_problem(matrices)
-    if problem:
-        return Verdict(OUT_OF_THEORY, RULE_T15, problem)
-    problem = word.problems()
+    problem = word_hypotheses_problem(word, matrices)
     if problem:
         return Verdict(OUT_OF_THEORY, RULE_T15, problem)
     canon = word.canonical()
@@ -170,16 +150,11 @@ def classify_thm16(m1: Mat2, m2: Mat2, t1: int, t2: int) -> Verdict:
     spectral exactly when t2 divides t1."""
     if t1 % 2 == 0 or t2 % 2 == 0 or t1 == 0 or t2 == 0:
         return Verdict(OUT_OF_THEORY, RULE_T16, f"scales t1={t1}, t2={t2} must be odd")
-    if not is_expanding(m1):
-        return Verdict(OUT_OF_THEORY, RULE_T16, f"matrix {_fmt(m1)} is not expanding")
-    if not is_expanding(m2):
-        return Verdict(OUT_OF_THEORY, RULE_T16, f"matrix {_fmt(m2)} is not expanding")
-    if not in_gl2_2z(m2):
-        return Verdict(OUT_OF_THEORY, RULE_T16, f"tail matrix {_fmt(m2)} is not in GL(2,2Z)")
-    if abs(m2.det()) != 4:
-        return Verdict(
-            OUT_OF_THEORY, RULE_T16, f"|det {_fmt(m2)}| = {abs(m2.det())} is not 4"
-        )
+    problem = first_failure((m1, m2), (EXPANDING,)) or first_failure(
+        (m2,), (IN_GL2_2Z, DET_4), noun="tail matrix"
+    )
+    if problem:
+        return Verdict(OUT_OF_THEORY, RULE_T16, problem)
     if t1 % t2 == 0:
         return Verdict(SPECTRAL, RULE_T16, f"t2={t2} divides t1={t1}")
     return Verdict(NOT_SPECTRAL, RULE_T16, f"t2={t2} does not divide t1={t1}")
@@ -193,17 +168,11 @@ def thm16_shape(sys: MoranSystem) -> Optional[tuple[Mat2, Mat2, int, int]]:
     crep = sys.canonical()
     if len(crep.period) != 1 or len(crep.preperiod) > 1:
         return None
+    m1, d1 = crep.distinct()[0]
     m2, d2 = crep.period[0]
-    t2 = scaled_t_of(d2)
-    if t2 is None:
+    t1, t2 = scaled_t_of(d1), scaled_t_of(d2)
+    if t1 is None or t2 is None:
         return None
-    if crep.preperiod:
-        m1, d1 = crep.preperiod[0]
-        t1 = scaled_t_of(d1)
-        if t1 is None:
-            return None
-    else:
-        m1, t1 = m2, t2
     return (m1, m2, t1, t2)
 
 
@@ -217,9 +186,7 @@ def cor51_verdict(sys: MoranSystem) -> Optional[Verdict]:
     scales = []
     for m, d in crep.distinct():
         t = scaled_t_of(d)
-        if t is None:
-            return None
-        if not is_expanding(m) or abs(m.det()) != 4:
+        if t is None or first_failure((m,), (EXPANDING, DET_4)):
             return None
         scales.append(t)
     t_last_pre, t_tail = scales[-2], scales[-1]
@@ -235,27 +202,19 @@ def cor51_verdict(sys: MoranSystem) -> Optional[Verdict]:
 def thm15_shape(sys: MoranSystem) -> Union[tuple[TWord, tuple[Mat2, ...]], str]:
     """Extract (word, matrices) when every digit set is a positive odd scale
     of the canonical set with pairwise coprime scales; else a reason string."""
-    scales_pre: list[int] = []
-    scales_period: list[int] = []
-    for levels, out in ((sys.preperiod, scales_pre), (sys.period, scales_period)):
-        for _, d in levels:
-            t = scaled_t_of(d)
-            if t is None:
-                return "digit sets are not all scales of the canonical set"
-            if t < 0:
-                return f"scale {t} is negative"
-            out.append(t)
-    values = sorted(set(scales_pre + scales_period) | {1})
-    for i in range(len(values)):
-        for k in range(i + 1, len(values)):
-            if math.gcd(values[i], values[k]) != 1:
-                return f"scales {values[i]} and {values[k]} are not coprime"
-    index = {t: i + 1 for i, t in enumerate(values)}
-    word = TWord(
-        tuple(index[t] for t in scales_pre),
-        tuple(index[t] for t in scales_period),
-        tuple(values),
-    )
+    scales = [scaled_t_of(d) for _, d in sys.distinct()]
+    for t in scales:
+        if t is None:
+            return "digit sets are not all scales of the canonical set"
+        if t < 0:
+            return f"scale {t} is negative"
+    values = sorted(set(scales) | {1})
+    for a, b in combinations(values, 2):
+        if math.gcd(a, b) != 1:
+            return f"scales {a} and {b} are not coprime"
+    letters = [values.index(t) + 1 for t in scales]
+    p = len(sys.preperiod)
+    word = TWord(tuple(letters[:p]), tuple(letters[p:]), tuple(values))
     return (word, sys.matrices())
 
 

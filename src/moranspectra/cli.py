@@ -29,8 +29,10 @@ from .mask import HadamardError, is_hadamard_triple
 from .moran import (
     CapExceeded,
     DEFAULT_POINT_CAP,
+    MoranSystem,
     OutOfTheoryError,
     SystemInvalid,
+    _float_point,
     attractor_points,
     fourier,
     fourier_many,
@@ -182,6 +184,7 @@ def cmd_fourier(cfg: SystemConfig, args, report: Report) -> int:
 
 def cmd_spectrum(cfg: SystemConfig, args, report: Report) -> int:
     sys_ = cfg.system()
+    xi = None if args.xi is None else _float_point(_parse_xi(args.xi))
     if args.kind == "tower":
         tower = spectra.build_tower(sys_)
         points = spectra.enumerate_tower(tower, args.depth, cap=args.cap)
@@ -204,8 +207,7 @@ def cmd_spectrum(cfg: SystemConfig, args, report: Report) -> int:
             [_frac_str(p[0]), _frac_str(p[1])],
             [_frac_str(q[0]), _frac_str(q[1])],
         ]
-    if args.xi is not None:
-        xi = _parse_xi(args.xi)
+    if xi is not None:
         if args.kind == "tower":
             nested = [
                 spectra.enumerate_tower(tower, k, cap=args.cap)
@@ -243,9 +245,34 @@ def cmd_oracle(cfg: SystemConfig, args, report: Report) -> int:
         points=len(points),
         unitary=rep.unitary,
         residual=rep.residual,
-        exact_checked=rep.exact_checked,
     )
     return EXIT_OK
+
+
+def write_attractor_csv(
+    path: Path, sys_: MoranSystem, depth: int, cap: int = DEFAULT_POINT_CAP
+) -> int:
+    """Write the depth-k attractor points as x,y rows; return their number."""
+    pts = attractor_points(sys_, depth, cap=cap)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y"])
+        writer.writerows(pts)
+    return len(pts)
+
+
+def write_fourier_grid_csv(path: Path, sys_: MoranSystem, box: float, n: int, eps: float) -> None:
+    """Write |mu^| on the n x n grid over [-box, box]^2 as x,y,absval rows."""
+    axis = [-box + 2 * box * i / (n - 1) if n > 1 else 0.0 for i in range(n)]
+
+    def grid():
+        return ((x, y) for x in axis for y in axis)
+
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "absval"])
+        for (x, y), res in zip(grid(), fourier_many(sys_, grid(), eps)):
+            writer.writerow([x, y, abs(res.value)])
 
 
 def cmd_emit(cfg: SystemConfig, args, report: Report) -> int:
@@ -255,29 +282,12 @@ def cmd_emit(cfg: SystemConfig, args, report: Report) -> int:
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     attractor_path = outdir / "attractor.csv"
-    pts = attractor_points(sys_, args.depth, cap=args.cap)
-    with attractor_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in pts:
-            writer.writerow([repr(x), repr(y)])
-    report.results.update(attractor=str(attractor_path), attractor_points=len(pts))
+    count = write_attractor_csv(attractor_path, sys_, args.depth, cap=args.cap)
+    report.results.update(attractor=str(attractor_path), attractor_points=count)
     report.truncation.update(depth=args.depth)
-
     grid_path = outdir / "fourier_grid.csv"
-    n = args.grid
-    b = float(args.box)
-    axis = [-b + 2 * b * i / (n - 1) if n > 1 else 0.0 for i in range(n)]
-
-    def grid():
-        return ((x, y) for x in axis for y in axis)
-
-    with grid_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "absval"])
-        for (x, y), res in zip(grid(), fourier_many(sys_, grid(), args.eps)):
-            writer.writerow([repr(x), repr(y), repr(abs(res.value))])
-    report.results.update(fourier_grid=str(grid_path), grid=n)
+    write_fourier_grid_csv(grid_path, sys_, float(args.box), args.grid, args.eps)
+    report.results.update(fourier_grid=str(grid_path), grid=args.grid)
     report.truncation.update(box=args.box, eps=args.eps)
     return EXIT_OK
 

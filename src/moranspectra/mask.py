@@ -107,19 +107,6 @@ def _vanishes(terms: dict[int, int], q: int) -> bool:
     return True
 
 
-MAX_DENSE_DENOMINATOR = 100_000
-
-
-def _check_dense_denominator(q: int, n_terms: int = 0) -> None:
-    """Refuse a reduced denominator q past MAX_DENSE_DENOMINATOR as the
-    earlier dense Phi_q test did; the sparse kernel bounds its own work.
-    Four-term sums, which that test decided by pairing, stay exempt."""
-    if q > MAX_DENSE_DENOMINATOR and n_terms != 4:
-        raise ValueError(
-            f"common denominator {q} too large for the dense cyclotomic test"
-        )
-
-
 @dataclass(frozen=True)
 class UnityRootSum:
     """A formal sum  sum_k  c_k * exp(2 pi i x_k)  with rational x_k mod 1."""
@@ -142,7 +129,6 @@ class UnityRootSum:
 
     def is_zero(self) -> bool:
         q = math.lcm(*(e.denominator for e, _ in self.counts))
-        _check_dense_denominator(q, self.total())
         terms = {e.numerator * (q // e.denominator) % q: c for e, c in self.counts}
         return _vanishes(terms, q)
 
@@ -155,11 +141,9 @@ def unity_sum_is_zero(exponents: Iterable) -> bool:
 def unity_sum_is_zero_ints(numerators: Iterable[int], q: int) -> bool:
     """Exact vanishing of sum_k exp(2 pi i n_k / q) from integer numerators.
 
-    Same verdict as `unity_sum_is_zero` on fractions n_k/q, and the same
-    ValueError when q itself is past MAX_DENSE_DENOMINATOR; skips Fraction
+    Same verdict as `unity_sum_is_zero` on fractions n_k/q; skips Fraction
     construction for hot loops (the discrete spectral-pair oracle).
     """
-    _check_dense_denominator(q)
     return _vanishes(Counter(k % q for k in numerators), q)
 
 
@@ -209,12 +193,8 @@ def mask_zero_exact(digits: StructuredDigitSet, xi) -> bool:
 def generic_zero_ints(digits: DigitSet, nx: int, ny: int, den: int) -> bool:
     """Exact zero test for any finite digit set at xi = (nx, ny) / den,
     den > 0: the unit-root sum of the numerators dx nx + dy ny over den,
-    reduced by their common gcd with den."""
-    nums = [dx * nx + dy * ny for dx, dy in digits.points()]
-    g = math.gcd(den, *nums)
-    q = den // g
-    _check_dense_denominator(q, len(nums))
-    return _vanishes(Counter(n // g % q for n in nums), q)
+    which the kernel reduces by their common gcd with den."""
+    return _vanishes(Counter((dx * nx + dy * ny) % den for dx, dy in digits.points()), den)
 
 
 def mask_zero_exact_generic(digits: DigitSet, xi) -> bool:

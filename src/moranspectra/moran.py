@@ -38,7 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, cycle, islice
+from itertools import chain, combinations, cycle, islice
 from typing import Callable, Generic, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -47,6 +47,7 @@ from .digitsets import DigitSet, StructuredDigitSet, scaled_by_matrix
 from .lattice import (
     Mat2,
     PI_UPPER,
+    Vec2,
     inverse_norm_upper,
     is_expanding,
     in_gl2_2z,
@@ -378,11 +379,31 @@ def validate(sys: MoranSystem) -> ValidationReport:
     )
 
 
-def require_valid(sys: MoranSystem) -> None:
-    report = validate(sys)
-    if not report.ok:
-        code, level = report.errors[0]
-        raise SystemInvalid(f"{code} at level {level}")
+# --- the matrix hypotheses of the rules --------------------------------------
+# (predicate, detail template in {noun}, the matrix's role, {m}, its rows, and
+# {det}, its |det|).  Predicates are looked up at call time, so a wrapped
+# module global sees every call.
+
+Hypothesis = tuple[Callable[[Mat2], bool], str]
+DET_ABOVE_4: Hypothesis = (lambda m: abs(m.det()) > 4, "|det {m}| = {det} is not > 4")
+DET_AT_LEAST_4: Hypothesis = (lambda m: abs(m.det()) >= 4, "|det {m}| = {det} is not >= 4")
+DET_4: Hypothesis = (lambda m: abs(m.det()) == 4, "|det {m}| = {det} is not 4")
+EXPANDING: Hypothesis = (lambda m: is_expanding(m), "{noun} {m} is not expanding")
+IN_GL2_2Z: Hypothesis = (lambda m: in_gl2_2z(m), "{noun} {m} is not in GL(2,2Z)")
+NORM_BELOW_1: Hypothesis = (lambda m: inverse_norm_below_one(m), "{noun} {m} has ||M^-1|| >= 1")
+
+
+def first_failure(
+    matrices: Iterable[Mat2], checks: Sequence[Hypothesis], noun: str = "matrix"
+) -> Optional[str]:
+    """The detail of the first check failing on the first matrix that fails
+    one (every check on a matrix before the next matrix), or None."""
+    for m in matrices:
+        for holds, detail in checks:
+            if not holds(m):
+                rows = str([list(r) for r in m.rows()])
+                return detail.format(noun=noun, m=rows, det=abs(m.det()))
+    return None
 
 
 # --- canonical reduction ----------------------------------------------------
@@ -647,16 +668,24 @@ class TWord(EventuallyPeriodic[int]):
             return "scale list must start at t_1 = 1"
         if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
             return "scale values must be strictly increasing"
-        for i in range(len(ts)):
-            for k in range(i + 1, len(ts)):
-                if math.gcd(ts[i], ts[k]) != 1:
-                    return f"scale values {ts[i]} and {ts[k]} are not coprime"
+        for a, b in combinations(ts, 2):
+            if math.gcd(a, b) != 1:
+                return f"scale values {a} and {b} are not coprime"
         return None
 
     def eventually_constant_letter(self) -> Optional[int]:
         """The tail letter if sigma is eventually constant, else None."""
         c = self.canonical()
         return c.period[0] if len(c.period) == 1 else None
+
+
+def word_hypotheses_problem(word: TWord, matrices: Iterable[Mat2]) -> Optional[str]:
+    """The first failed hypothesis of the |det| = 4 word results (T1.5 and
+    the integer periodic zero set), the matrices before the word, or None."""
+    mats = list(matrices)
+    if not mats:
+        return "no matrices supplied"
+    return first_failure(mats, (EXPANDING, IN_GL2_2Z, DET_4, NORM_BELOW_1)) or word.problems()
 
 
 def realize_word_system(
@@ -688,23 +717,12 @@ def integer_periodic_zero_nonempty(
     Under the |det| = 4 even-matrix hypotheses this holds iff every letter
     of sigma carries one common scale t != 1; the witness (1/t, 0) then lies
     in (1/t) * punctured residue grid, all of which sits in the periodic
-    zero set.  Hypothesis failures raise OutOfTheoryError.
+    zero set.  Hypothesis failures raise OutOfTheoryError with the word
+    rule's detail.
     """
-    problem = word.problems()
+    problem = word_hypotheses_problem(word, matrices)
     if problem:
         raise OutOfTheoryError(problem)
-    mats = list(matrices)
-    if not mats:
-        raise OutOfTheoryError("no matrices supplied")
-    for m in mats:
-        if not is_expanding(m):
-            raise OutOfTheoryError(f"matrix {m.rows()} is not expanding")
-        if not in_gl2_2z(m):
-            raise OutOfTheoryError(f"matrix {m.rows()} has an odd entry or det 0")
-        if abs(m.det()) != 4:
-            raise OutOfTheoryError(f"matrix {m.rows()} has |det| != 4")
-        if not inverse_norm_below_one(m):
-            raise OutOfTheoryError(f"matrix {m.rows()} has ||M^-1|| >= 1")
     letters = set(word.distinct())
     if len(letters) != 1:
         return (False, None)
@@ -714,13 +732,50 @@ def integer_periodic_zero_nonempty(
     return (True, (Fraction(1, t), Fraction(0)))
 
 
-# --- attractor sampling ------------------------------------------------------
+# --- sums over product sets ---------------------------------------------------
+
+
+def digit_expansion(stages: Iterable[Sequence[Vec2]]) -> tuple[list[tuple[int, int]], int]:
+    """Every sum sum_j v_j with v_j in the j-th stage's set (the images
+    A_j x_j of the x_j in X_j), exactly.
+
+    The sums come as integer numerators (nx, ny) over one q > 0, reduced by
+    the gcd of q and every numerator, so q is the lcm of the sums'
+    denominators; the first stage varies slowest.
+    """
+    images = list(stages)
+    q = math.lcm(*(c.denominator for level in images for p in level for c in p))
+    xs, ys = [0], [0]
+    for level in images:
+        ix = [x.numerator * (q // x.denominator) for x, _ in level]
+        iy = [y.numerator * (q // y.denominator) for _, y in level]
+        xs = [px + dx for px in xs for dx in ix]
+        ys = [py + dy for py in ys for dy in iy]
+    g = math.gcd(q, *xs, *ys)
+    if g > 1:
+        q, xs, ys = q // g, [x // g for x in xs], [y // g for y in ys]
+    return list(zip(xs, ys)), q
+
+
+def attractor_sums(sys: MoranSystem, depth: int) -> tuple[list[tuple[int, int]], int]:
+    """The depth-k partial sums sum_{j<=k} M_1^{-1}...M_j^{-1} d_j as
+    `digit_expansion` numerators over q."""
+
+    def stages():
+        prefix = Mat2.identity()
+        for n in range(1, depth + 1):
+            m, d = sys.level(n)
+            prefix = prefix * m.inverse()
+            yield [prefix.apply(p) for p in d.points()]
+
+    return digit_expansion(stages())
 
 
 def attractor_points(
     sys: MoranSystem, depth: int, cap: int = DEFAULT_POINT_CAP
 ) -> list[tuple[float, float]]:
-    """All depth-k partial sums sum_{j<=k} M_1^{-1}...M_j^{-1} d_j (floats)."""
+    """All depth-k partial sums sum_{j<=k} M_1^{-1}...M_j^{-1} d_j, each
+    coordinate the float nearest its exact value."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     count = 1
@@ -728,27 +783,5 @@ def attractor_points(
         count *= len(sys.level(n)[1])
         if count > cap:
             raise CapExceeded(f"{count} attractor points exceed cap {cap}")
-    points = [(0.0, 0.0)]
-    prefix = [[1.0, 0.0], [0.0, 1.0]]
-    for n in range(1, depth + 1):
-        m, d = sys.level(n)
-        inv = m.inverse().as_float_rows()
-        prefix = [
-            [
-                prefix[0][0] * inv[0][0] + prefix[0][1] * inv[1][0],
-                prefix[0][0] * inv[0][1] + prefix[0][1] * inv[1][1],
-            ],
-            [
-                prefix[1][0] * inv[0][0] + prefix[1][1] * inv[1][0],
-                prefix[1][0] * inv[0][1] + prefix[1][1] * inv[1][1],
-            ],
-        ]
-        images = [
-            (
-                prefix[0][0] * dx + prefix[0][1] * dy,
-                prefix[1][0] * dx + prefix[1][1] * dy,
-            )
-            for dx, dy in d.points()
-        ]
-        points = [(px + ix, py + iy) for px, py in points for ix, iy in images]
-    return points
+    ints, q = attractor_sums(sys, depth)
+    return [(x / q, y / q) for x, y in ints]

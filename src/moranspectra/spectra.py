@@ -36,6 +36,8 @@ from .moran import (
     MoranSystem,
     OutOfTheoryError,
     _float_point,
+    attractor_sums,
+    digit_expansion,
     fourier_many,
     fourier_zero_exact,
 )
@@ -112,18 +114,17 @@ def enumerate_tower(
         raise ValueError("depth must be >= 1")
     if 4**k > cap:
         raise CapExceeded(f"4^{k} tower points exceed cap {cap}")
-    sys = tower.system
-    points: list[FracVec] = [(Fraction(0), Fraction(0))]
-    a = Mat2.identity()
-    for j in range(1, k + 1):
-        images = [a.apply(l) for l in tower.companions(j)]
-        points = [
-            (px + ix, py + iy) for px, py in points for ix, iy in images
-        ]
-        a = a * sys.level(j)[0].transpose()
-    if len(set(points)) != len(points):
+
+    def stages():
+        a = Mat2.identity()
+        for j in range(1, k + 1):
+            yield [a.apply(l) for l in tower.companions(j)]
+            a = a * tower.system.level(j)[0].transpose()
+
+    ints, q = digit_expansion(stages())
+    if len(set(ints)) != len(ints):
         raise ValueError("tower enumeration produced duplicate points")
-    return points
+    return [(Fraction(x, q), Fraction(y, q)) for x, y in ints]
 
 
 def build_lattice_spectrum(
@@ -149,14 +150,10 @@ def build_lattice_spectrum(
         raise OutOfTheoryError(f"lattice spectrum unavailable: {verdict.detail}")
 
     m1t = m1.transpose()
-    base = [
-        (Fraction(x, 2), Fraction(y, 2))
-        for x, y in (m1t.apply(v) for v in F2)
-    ]
     m1t_inv = m1t.inverse()
     bound = Fraction(abs(t2)) * box
     points: list[FracVec] = []
-    for lx, ly in base:
+    for lx, ly in _half_star_f2(m1):
         # k must satisfy (l + M1^t k) / t2 in the box; bound k via the
         # preimage of the shifted box corners.
         corners = [
@@ -192,18 +189,6 @@ class OrthogonalityResult:
         return self.ok
 
 
-def _integer_points(
-    points: Sequence[Vec2],
-) -> tuple[list[FracVec], list[tuple[int, int]], int]:
-    """The points as Fractions, their integer numerators over q, and q, the
-    lcm of every coordinate's denominator."""
-    pts = [rational_vec(p) for p in points]
-    q = math.lcm(*(c.denominator for p in pts for c in p))
-    ints = [(x.numerator * (q // x.denominator), y.numerator * (q // y.denominator))
-            for x, y in pts]
-    return pts, ints, q
-
-
 def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> OrthogonalityResult:
     """Certify that every difference of distinct points lies in the zero set.
 
@@ -215,7 +200,7 @@ def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> Orthogonal
     `fourier_zero_exact` the first time it appears; the first failing pair in
     enumeration order is reported.
     """
-    pts, ints, q = _integer_points(points)
+    ints, q = digit_expansion([[rational_vec(p) for p in points]])
     if len(set(ints)) != len(ints):
         raise ValueError("candidate spectrum has repeated points")
     n = len(ints)
@@ -232,9 +217,8 @@ def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> Orthogonal
                 cert = fourier_zero_exact(sys, (Fraction(key[0], q), Fraction(key[1], q)))
                 verdict = memo[key] = cert is not None
             if not verdict:
-                return OrthogonalityResult(
-                    False, (pts[i], pts[j]), pairs + j - i, len(memo)
-                )
+                pair = tuple((Fraction(x, q), Fraction(y, q)) for x, y in (ints[i], ints[j]))
+                return OrthogonalityResult(False, pair, pairs + j - i, len(memo))
         pairs += n - 1 - i
     return OrthogonalityResult(True, None, pairs, len(memo))
 
@@ -314,7 +298,6 @@ def completeness_report(
 class OracleReport:
     unitary: bool
     residual: float
-    exact_checked: bool
 
     def __bool__(self) -> bool:
         return self.unitary
@@ -337,22 +320,16 @@ def discrete_spectrum_oracle(
     """
     if n < 1 or n > cap:
         raise CapExceeded(f"oracle level {n} outside 1..{cap}")
-    atoms: list[FracVec] = [(Fraction(0), Fraction(0))]
-    prefix = Mat2.identity()
-    for j in range(1, n + 1):
-        m, d = sys.level(j)
-        prefix = prefix * m.inverse()
-        images = [prefix.apply(p) for p in d.points()]
-        atoms = [(ax + ix, ay + iy) for ax, ay in atoms for ix, iy in images]
-    size = len(atoms)
-    if len(set(atoms)) != size:
+    atoms_i, qa = attractor_sums(sys, n)
+    size = len(atoms_i)
+    if len(set(atoms_i)) != size:
         raise ValueError("level-n convolution atoms collide; weights would merge")
-    pts, pts_i, ql = _integer_points(candidate)
-    if len(pts) != size:
-        raise ValueError(f"candidate has {len(pts)} points, expected {size}")
+    pts_i, ql = digit_expansion([[rational_vec(p) for p in candidate]])
+    if len(pts_i) != size:
+        raise ValueError(f"candidate has {len(pts_i)} points, expected {size}")
 
-    a = np.array([[float(x), float(y)] for x, y in atoms])
-    lam = np.array([[float(x), float(y)] for x, y in pts])
+    a = np.array([[x / qa, y / qa] for x, y in atoms_i])
+    lam = np.array([[x / ql, y / ql] for x, y in pts_i])
     h = np.exp(2j * np.pi * (a @ lam.T)) / math.sqrt(size)
     residual = float(np.abs(h.conj().T @ h - np.eye(size)).max())
 
@@ -360,7 +337,6 @@ def discrete_spectrum_oracle(
     # product depends only on the difference of its two candidate points and
     # vanishes together with its conjugate, so each distinct sign-canonical
     # difference is tested once.
-    _, atoms_i, qa = _integer_points(atoms)
     q = qa * ql
     diffs = set()
     for i, (xi, yi) in enumerate(pts_i):
@@ -376,5 +352,4 @@ def discrete_spectrum_oracle(
     return OracleReport(
         unitary=bool(residual < tol and exact_ok),
         residual=residual,
-        exact_checked=True,
     )

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,18 @@ from moranspectra.classify import (
     classify_thm14,
     classify_thm15,
     classify_thm16,
+    cor51_verdict,
     similarity_normalize,
     thm15_shape,
     thm16_shape,
 )
-from moranspectra.digitsets import GenericDigitSet, canonical_digits, scaled_canonical, sum_set
+from moranspectra.digitsets import (
+    GenericDigitSet,
+    canonical_digits,
+    scaled_canonical,
+    sum_set,
+    validate_structured,
+)
 from moranspectra.lattice import Mat2
 from moranspectra.moran import MoranSystem, TWord, conjugate_system
 
@@ -254,3 +262,131 @@ class TestShapes:
     def test_thm15_shape_rejects_non_coprime(self):
         sysm = MoranSystem((), ((I2, scaled_canonical(3)), (I2, scaled_canonical(9))))
         assert isinstance(thm15_shape(sysm), str)
+
+
+# --- hypothesis failures: detail strings and predicate order ------------------
+
+GENERIC4 = GenericDigitSet(((0, 0), (1, 0), (0, 1), (-1, -1)))
+NOT_EXPANDING = Mat2(4, 0, 0, 1)
+ODD_DET4 = Mat2(2, 1, 0, 2)
+NORM_AT_LEAST_ONE = Mat2(2, 4, 0, 2)
+TWORD_3 = TWord((), (2,), (1, 3))
+
+
+def constant(m, d=D0):
+    return MoranSystem.constant(m, d)
+
+
+def cor51_system(m2=I2, d2=scaled_canonical(5), t_tail=7):
+    return MoranSystem(((I2, scaled_canonical(3)), (m2, d2)), ((I2, scaled_canonical(t_tail)),))
+
+
+T14_NOTE = "T1.4: |det [[2, 0], [0, 2]]| = 4 is not > 4; T1.6: not a two-scale constant-tail family"
+T11_NOTHING = "T1.1: necessity rule found no even-entry violation (it proves nothing positive)"
+
+HYPOTHESIS_DETAILS = [
+    ("T1.4 generic", classify_thm14, (constant(I2, GENERIC4),),
+     "T1.4 needs four-point structured digit sets"),
+    ("T1.4 det", classify_thm14, (constant(I2),), "|det [[2, 0], [0, 2]]| = 4 is not > 4"),
+    ("T1.4 rational det", classify_thm14, (constant(Mat2(Fraction(5, 2), 0, 0, 1)),),
+     "|det [[Fraction(5, 2), 0], [0, 1]]| = 5/2 is not > 4"),
+    ("T1.4 expanding", classify_thm14, (constant(Mat2(6, 0, 0, 1)),),
+     "matrix [[6, 0], [0, 1]] is not expanding"),
+    ("T1.4 norm", classify_thm14, (constant(Mat2(3, 10, 0, 3)),),
+     "matrix [[3, 10], [0, 3]] has ||M^-1|| >= 1"),
+    ("T1.4 odd", classify_thm14, (constant(Mat2(5, 0, 0, 5)),),
+     "level 2 matrix [[5, 0], [0, 5]] is not in GL(2,2Z)"),
+    ("T1.4 rational odd", classify_thm14, (constant(Mat2(Fraction(9, 2), 0, 0, Fraction(9, 2))),),
+     "level 2 matrix [[Fraction(9, 2), 0], [0, Fraction(9, 2)]] is not in GL(2,2Z)"),
+    ("T1.1 generic", classify_thm11, (constant(I2, GENERIC4),),
+     "T1.1 needs four-point structured digit sets"),
+    ("T1.1 det", classify_thm11, (constant(Mat2(3, 0, 0, 1)),),
+     "|det [[3, 0], [0, 1]]| = 3 is not >= 4"),
+    ("T1.1 expanding", classify_thm11, (constant(NOT_EXPANDING),),
+     "matrix [[4, 0], [0, 1]] is not expanding"),
+    ("T1.1 odd", classify_thm11, (constant(ODD_DET4),),
+     "level 2 matrix [[2, 1], [0, 2]] is not in GL(2,2Z)"),
+    ("T1.5 empty", classify_thm15, (TWORD_3, []), "no matrices supplied"),
+    ("T1.5 expanding", classify_thm15, (TWORD_3, [I2, NOT_EXPANDING]),
+     "matrix [[4, 0], [0, 1]] is not expanding"),
+    ("T1.5 odd", classify_thm15, (TWORD_3, [ODD_DET4]), "matrix [[2, 1], [0, 2]] is not in GL(2,2Z)"),
+    ("T1.5 det", classify_thm15, (TWORD_3, [I4]), "|det [[4, 0], [0, 4]]| = 16 is not 4"),
+    ("T1.5 norm", classify_thm15, (TWORD_3, [NORM_AT_LEAST_ONE]),
+     "matrix [[2, 4], [0, 2]] has ||M^-1|| >= 1"),
+    ("T1.5 word", classify_thm15, (TWord((), (2,), (3, 5)), [I2]),
+     "scale list must start at t_1 = 1"),
+    ("T1.5 matrices first", classify_thm15, (TWord((), (2,), (3, 5)), [NOT_EXPANDING]),
+     "matrix [[4, 0], [0, 1]] is not expanding"),
+    ("T1.6 scales", classify_thm16, (I2, I2, 2, 3), "scales t1=2, t2=3 must be odd"),
+    ("T1.6 first expanding", classify_thm16, (NOT_EXPANDING, I2, 1, 3),
+     "matrix [[4, 0], [0, 1]] is not expanding"),
+    ("T1.6 tail expanding", classify_thm16, (I2, NOT_EXPANDING, 1, 3),
+     "matrix [[4, 0], [0, 1]] is not expanding"),
+    ("T1.6 tail odd", classify_thm16, (I2, ODD_DET4, 1, 3),
+     "tail matrix [[2, 1], [0, 2]] is not in GL(2,2Z)"),
+    ("T1.6 tail det", classify_thm16, (I2, I4, 1, 3), "|det [[4, 0], [0, 4]]| = 16 is not 4"),
+    ("C5.1 decides", classify, (cor51_system(),),
+     "tail scale 7 does not divide the last preperiod scale 5"),
+    ("C5.1 expanding", classify, (cor51_system(m2=NOT_EXPANDING),),
+     f"{T14_NOTE}; T1.5: matrix [[4, 0], [0, 1]] is not expanding; "
+     "T1.1: matrix [[4, 0], [0, 1]] is not expanding"),
+    ("C5.1 det", classify, (cor51_system(m2=I4),),
+     f"{T14_NOTE}; T1.5: |det [[4, 0], [0, 4]]| = 16 is not 4; {T11_NOTHING}"),
+    ("C5.1 scaled", classify, (cor51_system(d2=validate_structured((1, 2), (0, 1))),),
+     f"{T14_NOTE}; T1.5: digit sets are not all scales of the canonical set; {T11_NOTHING}"),
+]
+
+
+@pytest.mark.parametrize("rule, args, detail", [c[1:] for c in HYPOTHESIS_DETAILS],
+                         ids=[c[0] for c in HYPOTHESIS_DETAILS])
+def test_hypothesis_failure_details(rule, args, detail):
+    assert rule(*args).detail == detail
+
+
+def test_cor51_hypothesis_failures_defer():
+    assert cor51_verdict(cor51_system()).rule == "C5.1"
+    for sysm in (cor51_system(m2=NOT_EXPANDING), cor51_system(m2=I4),
+                 cor51_system(d2=validate_structured((1, 2), (0, 1)))):
+        assert cor51_verdict(sysm) is None
+
+
+@pytest.fixture
+def predicate_calls(monkeypatch):
+    """The names of the exact lattice predicates, in call order, wherever
+    the package looks them up."""
+    import sys as _sys
+
+    from moranspectra import lattice
+
+    calls = []
+    for name in ("is_expanding", "in_gl2_2z", "inverse_norm_below_one"):
+        original = getattr(lattice, name)
+
+        def wrapper(m, _name=name, _original=original):
+            calls.append(_name)
+            return _original(m)
+
+        for mod_name, module in list(_sys.modules.items()):
+            if mod_name.startswith("moranspectra") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+E, G, N = "is_expanding", "in_gl2_2z", "inverse_norm_below_one"
+
+
+@pytest.mark.parametrize(
+    "rule, args, expected",
+    [
+        (classify_thm14, (constant(Mat2(4, 2, 2, 4)),), [E, N, G]),
+        (classify_thm14, (MoranSystem(((I3, D0),), ((I4, D0),)),), [E, N, E, N, G]),
+        (classify_thm11, (constant(ODD_DET4),), [E, G]),
+        (classify_thm15, (TWORD_3, [I2, NORM_AT_LEAST_ONE]), [E, G, N, E, G, N]),
+        (classify_thm16, (I2, I2, 3, 1), [E, E, G]),
+        (cor51_verdict, (cor51_system(),), [E, E, E]),
+        (cor51_verdict, (cor51_system(d2=validate_structured((1, 2), (0, 1))),), [E]),
+    ],
+)
+def test_predicate_call_order(predicate_calls, rule, args, expected):
+    rule(*args)
+    assert predicate_calls == expected

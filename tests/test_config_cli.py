@@ -184,6 +184,27 @@ class TestExitCodes:
         assert main(["fourier", path, "--xi", "0.3,0.7"]) == 4
         assert "hard cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("xi", ["nan,0", "0.3,x", "1e400,0"])
+    def test_spectrum_rejects_bad_xi_before_building(self, tmp_path, monkeypatch, capsys, xi):
+        from moranspectra import spectra
+
+        def late(*_):
+            raise AssertionError("--xi checked after the spectrum was built")
+
+        monkeypatch.setattr(spectra, "verify_orthogonality", late)
+        assert main(["spectrum", write(tmp_path, CONST_2I), "--kind", "lattice",
+                     "--box", "32", f"--xi={xi}"]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
+    def test_zero_decides_large_generic_denominator(self, tmp_path, capsys):
+        # q = 1,200,036 at level 1: refused (exit 2) while the dense Phi_q
+        # test's 100,000 limit stood.
+        d0 = canonical_digits().points()
+        digits = " ".join(f"{x + 6 * u},{y + 6 * v}" for x, y in d0 for u, v in d0)
+        cfg = f"period:\n  matrix: 12 0 0 12\n  digits: generic {digits}\n"
+        assert main(["zero", write(tmp_path, cfg), "--xi=1/100003,0"]) == 0
+        assert "in_zero_set: False" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,5 +1,6 @@
 import cmath
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -58,18 +59,18 @@ def test_unity_sum_examples():
     assert not unity_sum_is_zero([0, Fraction(1, 4), Fraction(1, 3)])
 
 
-def test_unity_sum_ints_refuses_large_denominator():
-    """Past the dense test's limit the integer route raises the Fraction
-    route's ValueError before it reads a numerator or allocates q terms."""
-
-    def untouched():
-        raise AssertionError("numerators read before the size check")
-        yield
-
-    with pytest.raises(ValueError, match="too large for the dense cyclotomic test"):
-        unity_sum_is_zero_ints(untouched(), 100_003)
-    with pytest.raises(ValueError, match="too large for the dense cyclotomic test"):
-        unity_sum_is_zero([Fraction(1, 100_003), 0])
+def test_unity_sum_ints_decides_large_denominator():
+    """Denominators past 100,000, once refused for the dense Phi_q test that
+    preceded the sparse kernel, are decided at once: the prime search stops
+    at the number of terms and the recursion depth is at most log2 q."""
+    q = 3 * 100_003
+    start = time.perf_counter()
+    assert not unity_sum_is_zero_ints([0, 1], 100_003)
+    assert not unity_sum_is_zero([Fraction(1, 100_003), 0])
+    assert unity_sum_is_zero_ints([0, q // 3, 2 * q // 3], q)
+    assert unity_sum_is_zero_ints([7, 7 + 2 * q // 3, 7 + 4 * q // 3, 5, 5 + q], 2 * q)
+    assert not unity_sum_is_zero_ints([0, q // 3, 2 * q // 3 + 1], q)
+    assert time.perf_counter() - start < 0.1
     assert unity_sum_is_zero_ints([0, 2], 4)
     assert not unity_sum_is_zero_ints([0, 1], 3)
 

@@ -257,6 +257,24 @@ class TestIntegerPeriodicZero:
         with pytest.raises(OutOfTheoryError):
             integer_periodic_zero_nonempty(TWord((), (2,), (1, 3)), [Mat2(2, 4, 0, 2)])
 
+    @pytest.mark.parametrize(
+        "word, matrices",
+        [
+            (TWord((), (2,), (1, 3)), []),
+            (TWord((), (2,), (1, 3)), [I3]),
+            (TWord((), (2,), (1, 3)), [I2, I4]),
+            (TWord((), (2,), (1, 3)), [Mat2(2, 4, 0, 2)]),
+            (TWord((), (2,), (3, 5)), [I2]),
+            (TWord((), (2,), (3, 5)), [Mat2(4, 0, 0, 1)]),
+        ],
+    )
+    def test_hypothesis_failures_name_the_word_rule_detail(self, word, matrices):
+        from moranspectra.classify import classify_thm15
+
+        with pytest.raises(OutOfTheoryError) as err:
+            integer_periodic_zero_nonempty(word, matrices)
+        assert str(err.value) == classify_thm15(word, matrices).detail
+
     def test_witness_is_certified(self):
         word = TWord((), (2,), (1, 3))
         ok, witness = integer_periodic_zero_nonempty(word, [I2])
@@ -286,6 +304,27 @@ class TestAttractor:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             attractor_points(SYS2, 5, cap=100)
+
+    @pytest.mark.parametrize("name", ["[[2,1],[1,2]]", "reduced mixed"])
+    def test_points_are_correctly_rounded_exact_sums(self, name):
+        """Each coordinate is the float nearest the exact partial sum, in the
+        order of a Fraction loop over the product set."""
+        mixed = MoranSystem(
+            ((Mat2(0, -2, 2, 0), scaled_canonical(3)),),
+            ((I2, D0), (SHEAR2, scaled_canonical(5))),
+        )
+        sysm = {
+            "[[2,1],[1,2]]": MoranSystem.constant(Mat2(2, 1, 1, 2), D0),
+            "reduced mixed": reduce_canonical(mixed),
+        }[name]
+        points = [(Fraction(0), Fraction(0))]
+        prefix = Mat2.identity()
+        for depth in range(1, 6):
+            m, d = sysm.level(depth)
+            prefix = prefix * m.inverse()
+            images = [prefix.apply(p) for p in d.points()]
+            points = [(px + ix, py + iy) for px, py in points for ix, iy in images]
+            assert attractor_points(sysm, depth) == [(float(x), float(y)) for x, y in points]
 
 
 class TestRepresentation:

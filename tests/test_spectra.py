@@ -33,7 +33,34 @@ SYS4 = MoranSystem.constant(I4, D0)
 F2 = [(Fraction(i), Fraction(j)) for i in (0, 1) for j in (0, 1)]
 
 
+def _fraction_tower(tower, k):
+    """Lambda_k by the Fraction loop over the product set, level 1 slowest."""
+    points = [(Fraction(0), Fraction(0))]
+    a = Mat2.identity()
+    for j in range(1, k + 1):
+        images = [a.apply(l) for l in tower.companions(j)]
+        points = [(px + ix, py + iy) for px, py in points for ix, iy in images]
+        a = a * tower.system.level(j)[0].transpose()
+    return points
+
+
 class TestTower:
+    @pytest.mark.parametrize(
+        "sysm",
+        [
+            SYS2,
+            MoranSystem.constant(Mat2(2, 2, 0, 2), D0),
+            MoranSystem(((Mat2(Fraction(5, 3), 1, 0, 3), D0),), ((I2, scaled_canonical(3)),)),
+        ],
+        ids=["2I", "shear", "rational level 1"],
+    )
+    def test_enumeration_matches_fraction_loop(self, sysm):
+        tower = build_tower(sysm)
+        for k in range(1, 5):
+            got = enumerate_tower(tower, k)
+            assert got == _fraction_tower(tower, k)
+            assert all(type(c) is Fraction for p in got for c in p)
+
     def test_companions_2i(self):
         tower = build_tower(SYS2)
         assert set(tower.companions(1)) == set(F2)
@@ -241,8 +268,8 @@ class TestOracle:
 
     def test_exact_check_reduces_the_common_denominator(self):
         """One shifted point puts the atom-times-candidate denominator at
-        4 * 7429; the exact check decides it in milliseconds, and a
-        denominator past the limit still raises the pinned ValueError."""
+        4 * 7429; the exact check decides it in milliseconds, and so it does
+        at 4 * 37,145, past the 100,000 the dense Phi_q test refused."""
         tower = enumerate_tower(build_tower(SYS2), 2)
 
         def shifted(dx, dy):
@@ -254,8 +281,10 @@ class TestOracle:
         assert time.perf_counter() - start < 0.1
         assert not rep.unitary
         pts = shifted(Fraction(1, 17) + Fraction(1, 23), Fraction(2, 19) + Fraction(1, 5))
-        with pytest.raises(ValueError, match="too large for the dense cyclotomic test"):
-            discrete_spectrum_oracle(SYS2, 2, pts, tol=math.inf)
+        start = time.perf_counter()
+        rep = discrete_spectrum_oracle(SYS2, 2, pts, tol=math.inf)
+        assert time.perf_counter() - start < 0.1
+        assert not rep.unitary
 
     def test_oracle_consistency_up_to_three(self):
         for sysm in (SYS2, SYS4):
