@@ -208,15 +208,17 @@ def cmd_spectrum(cfg: SystemConfig, args, report: Report) -> int:
             [_frac_str(q[0]), _frac_str(q[1])],
         ]
     if xi is not None:
+        # The truncation already built is reused; only the others are built.
         if args.kind == "tower":
             nested = [
-                spectra.enumerate_tower(tower, k, cap=args.cap)
+                points if k == args.depth else spectra.enumerate_tower(tower, k, cap=args.cap)
                 for k in range(1, args.depth + 1)
             ]
         else:
             boxes = sorted({max(1, args.box // 2), args.box})
             nested = [
-                spectra.build_lattice_spectrum(sys_, b, cap=args.cap) for b in boxes
+                points if b == args.box else spectra.build_lattice_spectrum(sys_, b, cap=args.cap)
+                for b in boxes
             ]
         comp = spectra.completeness_report(sys_, nested, [xi], args.eps)
         report.results["completeness_sum"] = comp.q_values[0]
@@ -279,6 +281,9 @@ def cmd_emit(cfg: SystemConfig, args, report: Report) -> int:
     if args.grid < 1:
         raise ValueError(f"--grid must be >= 1, got {args.grid}")
     sys_ = cfg.system()
+    # fourier_many checks the system and eps when called, before it reads a
+    # point: run those checks before anything is written.
+    fourier_many(sys_, (), args.eps)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     attractor_path = outdir / "attractor.csv"

@@ -601,16 +601,29 @@ def fourier_zero_exact(sys: MoranSystem, xi) -> Optional[ZeroCertificate]:
     is at most G ||eta_j|| with G the largest consecutive-run contraction
     product over the period, so when G ||eta_j|| drops below the smallest
     norm any mask zero can have, no later level can vanish and the scan
-    stops with None.
-
-    The orbit is carried as integer numerators (nx, ny) over one denominator,
-    reduced by their gcd at every level; the structured closed-form zero test,
-    the generic unit-root sum test (`mask.generic_zero_ints`) and the stop
-    test all run on those integers.
+    stops with None.  The scan itself is `_zero_scan`.
     """
-    ana = _analysis(sys)
     xi = rational_vec(xi)
-    nx, ny, den = over_common_denominator(xi)
+    hit = _zero_scan(_analysis(sys), *over_common_denominator(xi))
+    if hit is None:
+        return None
+    level, nx, ny, den = hit
+    return ZeroCertificate(level=level, witness=(Fraction(nx, den), Fraction(ny, den)), xi=xi)
+
+
+def _zero_scan(
+    ana: _Analysis, nx: int, ny: int, den: int
+) -> Optional[tuple[int, int, int, int]]:
+    """The zero scan of `fourier_zero_exact` at xi = (nx, ny) / den, den > 0:
+    the first level j whose mask vanishes at eta_j = (nx', ny') / den', as
+    (j, nx', ny', den'), or None once no later level can vanish.
+
+    The orbit is carried as integer numerators over one denominator, reduced
+    by their gcd at every level, so the result does not depend on how xi was
+    scaled; the structured closed-form zero test, the generic unit-root sum
+    test (`mask.generic_zero_ints`) and the stop test all run on those
+    integers.  Raises CapExceeded past MAX_SCAN_LEVELS levels.
+    """
     for j, lv in enumerate(ana.levels, 1):
         if j > MAX_SCAN_LEVELS:
             raise CapExceeded("zero scan exceeded hard cap")
@@ -624,11 +637,7 @@ def fourier_zero_exact(sys: MoranSystem, xi) -> Optional[ZeroCertificate]:
         else:
             hit = generic_zero_ints(lv.digits, nx, ny, den)
         if hit:
-            return ZeroCertificate(
-                level=j,
-                witness=(Fraction(nx, den), Fraction(ny, den)),
-                xi=xi,
-            )
+            return j, nx, ny, den
         if (
             j >= ana.preperiod_len
             and (nx * nx + ny * ny) * ana.stop_scale < ana.stop_floor * den * den

@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import filterfalse, repeat
+from operator import sub
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,11 +37,12 @@ from .moran import (
     DEFAULT_POINT_CAP,
     MoranSystem,
     OutOfTheoryError,
+    _analysis,
     _float_point,
+    _zero_scan,
     attractor_sums,
     digit_expansion,
     fourier_many,
-    fourier_zero_exact,
 )
 
 FracVec = tuple[Fraction, Fraction]
@@ -135,7 +138,8 @@ def build_lattice_spectrum(
 
     The spectrum is (1/t2) (L + M_1^* Z^2) with L = (1/2) M_1^* F_2: the
     companion lattice is constructed for the system rescaled by 1/t2, and
-    dividing by t2 transports it back to the unscaled measure.  Requires the
+    dividing by t2 transports it back to the unscaled measure.  As
+    F_2 + 2 Z^2 = Z^2, it is the lattice M_1^* Z^2 / (2 t2).  Requires the
     divisibility criterion (verdict Spectral); otherwise OutOfTheoryError.
     A negative box is a ValueError.
     """
@@ -149,33 +153,29 @@ def build_lattice_spectrum(
     if verdict.outcome != SPECTRAL:
         raise OutOfTheoryError(f"lattice spectrum unavailable: {verdict.detail}")
 
+    # The lattice is symmetric, so it is M n / den for n in Z^2 with the
+    # integer matrix M = e M1^* and den = 2 e |t2|, e the common denominator
+    # of M1's entries.  n ranges over the preimage of the box, which the
+    # preimages of the corners (+-limit, +-limit) of M n's box bound.
     m1t = m1.transpose()
-    m1t_inv = m1t.inverse()
-    bound = Fraction(abs(t2)) * box
-    points: list[FracVec] = []
-    for lx, ly in _half_star_f2(m1):
-        # k must satisfy (l + M1^t k) / t2 in the box; bound k via the
-        # preimage of the shifted box corners.
-        corners = [
-            m1t_inv.apply((sx * bound - lx, sy * bound - ly))
-            for sx in (-1, 1)
-            for sy in (1, -1)
-        ]
-        k1_min = math.floor(min(c[0] for c in corners))
-        k1_max = math.ceil(max(c[0] for c in corners))
-        k2_min = math.floor(min(c[1] for c in corners))
-        k2_max = math.ceil(max(c[1] for c in corners))
-        for k1 in range(k1_min, k1_max + 1):
-            for k2 in range(k2_min, k2_max + 1):
-                wx, wy = m1t.apply((k1, k2))
-                x = Fraction(lx + wx, t2)
-                y = Fraction(ly + wy, t2)
-                if abs(x) <= box and abs(y) <= box:
-                    points.append((x, y))
-    points = sorted(set(points))
-    if len(points) > cap:
-        raise CapExceeded(f"{len(points)} lattice points exceed cap {cap}")
-    return points
+    e = math.lcm(*(Fraction(x).denominator for x in m1t.entries()))
+    a, b, c, d = (int(x * e) for x in m1t.entries())
+    den = 2 * e * abs(t2)
+    limit = box * den
+    corners = [m1t.inverse().apply((limit, sy * limit)) for sy in (1, -1)]
+    n1_max = math.floor(max(abs(p[0]) for p in corners) / e)
+    n2_max = math.floor(max(abs(p[1]) for p in corners) / e)
+    ints = []
+    for n1 in range(-n1_max, n1_max + 1):
+        for n2 in range(-n2_max, n2_max + 1):
+            x = a * n1 + b * n2
+            y = c * n1 + d * n2
+            if abs(x) <= limit and abs(y) <= limit:
+                ints.append((x, y))
+    if len(ints) > cap:
+        raise CapExceeded(f"{len(ints)} lattice points exceed cap {cap}")
+    # den > 0, so sorting the numerators sorts the points.
+    return [(Fraction(x, den), Fraction(y, den)) for x, y in sorted(ints)]
 
 
 @dataclass(frozen=True)
@@ -189,38 +189,58 @@ class OrthogonalityResult:
         return self.ok
 
 
+def _distinct_differences(ints: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int, int]]:
+    """The distinct sign-canonical differences of integer points, in order of
+    first appearance along the pair walk (i < j, row by row).
+
+    Yields (i, dx, dy) with (dx, dy) = +-(p_i - p_j), signed so that dx > 0
+    or dx == 0 <= dy, for the first pair (i, j) that has it.  Each point is
+    one int z = x K + y with odd K > 4 max|y|, so z_i - z_j has the sign of
+    (dx, dy) in lexicographic order and decodes by divmod.  A C-level filter
+    drops the differences seen before (both signs are recorded), so Python
+    code runs once per distinct difference, not once per pair.
+    """
+    k = 4 * max((abs(y) for _, y in ints), default=0) + 1
+    half = k // 2
+    zs = [x * k + y for x, y in ints]
+    seen: set[int] = set()
+    for i, zi in enumerate(zs):
+        for d in filterfalse(seen.__contains__, map(sub, repeat(zi), zs[i + 1:])):
+            seen.add(d)
+            seen.add(-d)
+            dx, dy = divmod(abs(d) + half, k)
+            yield i, dx, dy - half
+
+
 def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> OrthogonalityResult:
     """Certify that every difference of distinct points lies in the zero set.
 
     The points are scaled once to integer numerators over one common
-    denominator q, and pairs are walked in enumeration order with integer
-    subtraction.  Differences repeat heavily in lattice-like candidate sets,
-    so verdicts are memoized per sign-canonical difference (the zero set is
-    symmetric under negation) and each distinct difference is certified by
-    `fourier_zero_exact` the first time it appears; the first failing pair in
-    enumeration order is reported.
+    denominator q.  The zero set is symmetric under negation, so each
+    distinct sign-canonical difference is certified once, by the zero scan
+    of `fourier_zero_exact`, in order of first appearance along the pair
+    walk (i < j, row by row), and the walk stops at the first failure.  The
+    result is that of the pair walk: the first failing pair in enumeration
+    order, the pairs walked up to it, and the distinct differences met.
     """
     ints, q = digit_expansion([[rational_vec(p) for p in points]])
     if len(set(ints)) != len(ints):
         raise ValueError("candidate spectrum has repeated points")
     n = len(ints)
-    memo: dict[tuple[int, int], bool] = {}
-    pairs = 0
-    for i, (xi, yi) in enumerate(ints):
-        for j in range(i + 1, n):
-            xj, yj = ints[j]
-            dx = xi - xj
-            dy = yi - yj
-            key = (dx, dy) if dx > 0 or (dx == 0 and dy > 0) else (-dx, -dy)
-            verdict = memo.get(key)
-            if verdict is None:
-                cert = fourier_zero_exact(sys, (Fraction(key[0], q), Fraction(key[1], q)))
-                verdict = memo[key] = cert is not None
-            if not verdict:
-                pair = tuple((Fraction(x, q), Fraction(y, q)) for x, y in (ints[i], ints[j]))
-                return OrthogonalityResult(False, pair, pairs + j - i, len(memo))
-        pairs += n - 1 - i
-    return OrthogonalityResult(True, None, pairs, len(memo))
+    if n < 2:
+        # No difference to certify, so the system is not analysed either.
+        return OrthogonalityResult(True, None, 0, 0)
+    ana = _analysis(sys)
+    distinct = 0
+    for i, dx, dy in _distinct_differences(ints):
+        distinct += 1
+        if _zero_scan(ana, dx, dy, q) is None:
+            xi, yi = ints[i]
+            pair = ((xi - dx, yi - dy), (xi + dx, yi + dy))
+            j = next(j for j in range(i + 1, n) if ints[j] in pair)
+            failing = tuple((Fraction(x, q), Fraction(y, q)) for x, y in (ints[i], ints[j]))
+            return OrthogonalityResult(False, failing, i * n - i * (i + 1) // 2 + j - i, distinct)
+    return OrthogonalityResult(True, None, n * (n - 1) // 2, distinct)
 
 
 def completeness_sum(
@@ -338,15 +358,9 @@ def discrete_spectrum_oracle(
     # vanishes together with its conjugate, so each distinct sign-canonical
     # difference is tested once.
     q = qa * ql
-    diffs = set()
-    for i, (xi, yi) in enumerate(pts_i):
-        for xj, yj in pts_i[i + 1:]:
-            dx = xi - xj
-            dy = yi - yj
-            diffs.add((dx, dy) if dx > 0 or (dx == 0 and dy > 0) else (-dx, -dy))
     exact_ok = all(
         unity_sum_is_zero_ints((ax * dx + ay * dy for ax, ay in atoms_i), q)
-        for dx, dy in diffs
+        for _, dx, dy in _distinct_differences(pts_i)
     )
 
     return OracleReport(

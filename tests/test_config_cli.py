@@ -22,6 +22,7 @@ from moranspectra.config import (
 from moranspectra.digitsets import GenericDigitSet, canonical_digits, scaled_canonical
 from moranspectra.lattice import Mat2
 from moranspectra.moran import fourier
+from moranspectra.spectra import build_tower, completeness_report
 
 CONST_2I = """\
 period:
@@ -222,6 +223,21 @@ class TestExitCodes:
         assert "invalid input" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "cfg, flags",
+        [
+            ("period:\n  matrix: 2 1 1 2\n  digits: canonical\n", []),
+            (CONST_2I, ["--eps", "0"]),
+        ],
+        ids=["non-expanding", "zero eps"],
+    )
+    def test_emit_rejects_before_writing(self, tmp_path, capsys, cfg, flags):
+        outdir = tmp_path / "out"
+        assert main(["emit", write(tmp_path, cfg), "--depth", "2", "--grid", "3",
+                     "--out", str(outdir), *flags]) == 2
+        assert "invalid input" in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/*.csv"))
+
 
 class TestCommands:
     def test_hadamard(self, tmp_path, capsys):
@@ -256,6 +272,34 @@ class TestCommands:
                      "--box", "3", "--xi", "0,0"]) == 0
         out = capsys.readouterr().out
         assert "completeness_sum: 0.99" in out or "completeness_sum: 1.0" in out
+
+    @pytest.mark.parametrize(
+        "flags, builds",
+        [
+            (["--kind", "tower", "--depth", "3"], [1, 2, 3]),
+            (["--kind", "lattice", "--box", "4"], [2, 4]),
+            (["--kind", "lattice", "--box", "1"], [1]),
+            (["--kind", "lattice", "--box", "0"], [0, 1]),
+        ],
+    )
+    def test_spectrum_xi_builds_each_truncation_once(self, tmp_path, monkeypatch, capsys,
+                                                     flags, builds):
+        from moranspectra import spectra
+
+        kind = flags[1]
+        name = "enumerate_tower" if kind == "tower" else "build_lattice_spectrum"
+        real = getattr(spectra, name)
+        calls = []
+        monkeypatch.setattr(spectra, name, lambda s, k, cap: calls.append(k) or real(s, k, cap))
+        assert main(["spectrum", write(tmp_path, CONST_2I), *flags, "--xi", "0.3,0.7"]) == 0
+        assert sorted(calls) == builds
+        sysm = parse_config(CONST_2I).system()
+        base = build_tower(sysm) if kind == "tower" else sysm
+        nested = [real(base, k, 65_536) for k in builds]
+        out = capsys.readouterr().out
+        results = json.loads(out.split("-- report --\n")[1].splitlines()[0])["results"]
+        assert results["completeness_sum"] == completeness_report(
+            sysm, nested, [(0.3, 0.7)], 1e-8).q_values[0]
 
     def test_oracle(self, tmp_path, capsys):
         assert main(["oracle", write(tmp_path, CONST_2I), "--level", "2"]) == 0

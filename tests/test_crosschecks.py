@@ -356,9 +356,28 @@ def _planted(rng, points, denominators=range(3, 20)):
     return pts
 
 
+BIG = 2**64
+# (system, points, pairs_checked, ok): edge cases of the difference walk,
+# each against the reference; the count pins where a failure falls.
+EDGE_WALKS = {
+    "empty": ("2I", [], 0, True),
+    "single": ("2I", [(Fraction(1, 3), -2)], 0, True),
+    "negative and zero y": ("2I", [(0, 0), (1, -1), (-1, 0), (0, -2), (2, 0), (-3, -5)], 15, True),
+    # z_j + z_k = 2 z_i: the two differences of row 0 are one key.
+    "symmetric triple": ("2I", [(1, 1), (2, 1), (0, 1), (5, -3)], 6, True),
+    "numerators past 2^63": ("2I", [(BIG, -BIG), (BIG + 1, -BIG), (-BIG, BIG + 3), (0, 5 * BIG)], 6, True),
+    "denominator past 2^63": ("2I", [(0, 0), (1, 0), (Fraction(1, 3**45), BIG), (2, 2)], 2, False),
+    "fails at first pair": ("2I", [(0, 0), (Fraction(1, 3), 0), (1, 0), (0, 1)], 1, False),
+    # 4I: (2,0) is a zero and (4,0) is not, so only the last pair fails; row
+    # 0 is a symmetric triple.
+    "fails at last pair": ("4I", [(0, 0), (2, 0), (-2, 0)], 3, False),
+}
+
+
 def test_orthogonality_matches_fraction_pair_walk():
     """All four fields of OrthogonalityResult, failing pair and counts at the
-    failure included, on conjugated towers with planted rational shifts."""
+    failure included, on conjugated towers with planted rational shifts, a
+    lattice, and the edge cases of EDGE_WALKS."""
     rng = random.Random(303)
     outcomes = set()
     for name, base in CROSS_SYSTEMS.items():
@@ -378,6 +397,59 @@ def test_orthogonality_matches_fraction_pair_walk():
         assert got == _reference_orthogonality(CROSS_SYSTEMS["2I"], pts)
         outcomes.add(got.ok)
     assert outcomes == {True, False}
+    for name, (sys_name, pts, pairs, ok) in EDGE_WALKS.items():
+        sysm = CROSS_SYSTEMS[sys_name]
+        got = verify_orthogonality(sysm, pts)
+        assert got == _reference_orthogonality(sysm, pts), name
+        assert (got.pairs_checked, got.ok) == (pairs, ok), name
+    # No pair, no zero scan: even a system the scan rejects passes.
+    assert verify_orthogonality(MoranSystem.constant(Mat2(2, 1, 1, 2), D0), [(0, 0)]).ok
+
+
+def _first_appearances(points):
+    """Sign-canonical differences in order of first appearance along the
+    pair walk."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    seen = {}
+    for i, (xi, yi) in enumerate(pts):
+        for xj, yj in pts[i + 1:]:
+            d = (xi - xj, yi - yj)
+            seen.setdefault(d if d > (0, 0) else (-d[0], -d[1]))
+    return list(seen)
+
+
+def test_orthogonality_scans_each_difference_once_in_order(monkeypatch):
+    """The zero scan runs once per distinct difference, in order of first
+    appearance, and not after the first failure."""
+    from moranspectra import spectra
+
+    scanned = []
+
+    def spy(ana, nx, ny, den):
+        scanned.append((Fraction(nx, den), Fraction(ny, den)))
+        return moran._zero_scan(ana, nx, ny, den)
+
+    monkeypatch.setattr(spectra, "_zero_scan", spy)
+    rng = random.Random(505)
+    shear = CROSS_SYSTEMS["shear"]
+    tower = enumerate_tower(build_tower(shear), 3)
+    cases = [(shear, tower), *((shear, _planted(rng, tower)) for _ in range(4))]
+    cases += [(CROSS_SYSTEMS[name], pts) for name, pts, _, _ in EDGE_WALKS.values()]
+    failures = 0
+    for sysm, pts in cases:
+        if len(set(pts)) != len(pts):
+            continue
+        scanned.clear()
+        got = verify_orthogonality(sysm, pts)
+        order = _first_appearances(pts)
+        assert scanned == order[:got.distinct_differences]
+        if got.ok:
+            assert len(scanned) == len(order)
+        else:
+            failures += 1
+            assert fourier_zero_exact(sysm, scanned[-1]) is None
+            assert all(fourier_zero_exact(sysm, d) is not None for d in scanned[:-1])
+    assert failures >= 3
 
 
 def test_zero_certificates_match_fraction_scan():

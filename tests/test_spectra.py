@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from moranspectra.classify import thm16_shape
 from moranspectra.digitsets import canonical_digits, scaled_canonical
 from moranspectra.lattice import Mat2
 from moranspectra.moran import (
@@ -42,6 +43,28 @@ def _fraction_tower(tower, k):
         points = [(px + ix, py + iy) for px, py in points for ix, iy in images]
         a = a * tower.system.level(j)[0].transpose()
     return points
+
+
+def _fraction_lattice(sysm, box):
+    """(1/t2) (L + M1^* Z^2) in [-box, box]^2 by the Fraction loop over the
+    k in the preimage of the box, sorted."""
+    m1, _, _, t2 = thm16_shape(sysm)
+    m1t = m1.transpose()
+    bound = Fraction(abs(t2)) * box
+    points = set()
+    for v in F2:
+        lx, ly = (c / 2 for c in m1t.apply(v))
+        corners = [m1t.inverse().apply((sx * bound - lx, sy * bound - ly))
+                   for sx in (-1, 1) for sy in (-1, 1)]
+        for k1 in range(math.floor(min(c[0] for c in corners)),
+                        math.ceil(max(c[0] for c in corners)) + 1):
+            for k2 in range(math.floor(min(c[1] for c in corners)),
+                            math.ceil(max(c[1] for c in corners)) + 1):
+                wx, wy = m1t.apply((k1, k2))
+                x, y = Fraction(lx + wx, t2), Fraction(ly + wy, t2)
+                if abs(x) <= box and abs(y) <= box:
+                    points.add((x, y))
+    return sorted(points)
 
 
 class TestTower:
@@ -154,6 +177,24 @@ class TestLatticeSpectrum:
             (Fraction(i, 3), Fraction(j, 3)) for i in range(-3, 4) for j in range(-3, 4)
         }
         assert set(pts) == expected
+
+    @pytest.mark.parametrize(
+        "sysm",
+        [
+            SYS2,
+            MoranSystem(((I2, scaled_canonical(9)),), ((I2, scaled_canonical(3)),)),
+            MoranSystem(((Mat2(3, 1, 0, 3), scaled_canonical(-9)),),
+                        ((Mat2(2, 0, 2, 2), scaled_canonical(-3)),)),
+            MoranSystem(((Mat2(Fraction(5, 2), Fraction(1, 3), 0, Fraction(5, 2)), scaled_canonical(3)),),
+                        ((I2, scaled_canonical(-3)),)),
+        ],
+        ids=["2I", "9to3", "negative scales", "rational level 1"],
+    )
+    def test_enumeration_matches_fraction_loop(self, sysm):
+        for box in range(9):
+            got = build_lattice_spectrum(sysm, box)
+            assert got == _fraction_lattice(sysm, box), box
+            assert all(type(c) is Fraction for p in got for c in p)
 
     def test_out_of_theory_when_divisibility_fails(self):
         sysm = MoranSystem(((I2, scaled_canonical(3)),), ((I2, scaled_canonical(9)),))
