@@ -11,7 +11,7 @@ Usage: python scripts/tile_portraits.py [outdir] [depth] [grid]
 import sys
 from pathlib import Path
 
-from moranspectra import Mat2, MoranSystem, canonical_digits, scaled_canonical
+from moranspectra import Mat2, MoranSystem, attractor_points, canonical_digits, scaled_canonical
 from moranspectra.cli import write_attractor_csv, write_fourier_grid_csv
 
 GALLERY = {
@@ -28,7 +28,8 @@ def main() -> None:
     grid = int(sys.argv[3]) if len(sys.argv) > 3 else 81
     outdir.mkdir(parents=True, exist_ok=True)
     for name, sysm in GALLERY.items():
-        count = write_attractor_csv(outdir / f"{name}_attractor.csv", sysm, depth)
+        points = attractor_points(sysm, depth)
+        count = write_attractor_csv(outdir / f"{name}_attractor.csv", points)
         write_fourier_grid_csv(outdir / f"{name}_grid.csv", sysm, 4.0, grid, 1e-6)
         print(f"{name}: {count} attractor points, {grid}x{grid} grid -> {outdir}")
 

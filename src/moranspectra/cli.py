@@ -178,7 +178,9 @@ def cmd_fourier(cfg: SystemConfig, args, report: Report) -> int:
     report.results.update(
         value_re=res.value.real, value_im=res.value.imag, abs=abs(res.value)
     )
-    report.truncation.update(eps=args.eps, bound=res.bound, levels=res.levels)
+    report.truncation.update(
+        eps=args.eps, bound=res.bound, rounding=res.rounding, levels=res.levels
+    )
     return EXIT_OK
 
 
@@ -251,11 +253,9 @@ def cmd_oracle(cfg: SystemConfig, args, report: Report) -> int:
     return EXIT_OK
 
 
-def write_attractor_csv(
-    path: Path, sys_: MoranSystem, depth: int, cap: int = DEFAULT_POINT_CAP
-) -> int:
-    """Write the depth-k attractor points as x,y rows; return their number."""
-    pts = attractor_points(sys_, depth, cap=cap)
+def write_attractor_csv(path: Path, pts: list[tuple[float, float]]) -> int:
+    """Write attractor points (see `attractor_points`) as x,y rows; return
+    their number."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y"])
@@ -282,12 +282,14 @@ def cmd_emit(cfg: SystemConfig, args, report: Report) -> int:
         raise ValueError(f"--grid must be >= 1, got {args.grid}")
     sys_ = cfg.system()
     # fourier_many checks the system and eps when called, before it reads a
-    # point: run those checks before anything is written.
+    # point, and attractor_points checks --depth and --cap before it builds a
+    # point: run those checks before anything is created or written.
     fourier_many(sys_, (), args.eps)
+    points = attractor_points(sys_, args.depth, cap=args.cap)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     attractor_path = outdir / "attractor.csv"
-    count = write_attractor_csv(attractor_path, sys_, args.depth, cap=args.cap)
+    count = write_attractor_csv(attractor_path, points)
     report.results.update(attractor=str(attractor_path), attractor_points=count)
     report.truncation.update(depth=args.depth)
     grid_path = outdir / "fourier_grid.csv"

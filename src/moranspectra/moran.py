@@ -14,11 +14,15 @@ eta_j = (M_1^* ... M_j^*)^{-1} xi.
 Two evaluation paths coexist:
 
 * `fourier` / `fourier_many` - double-precision truncated product with a
-                   certified tail bound from |1 - m_D(eta)| <= 2 pi max||d||
-                   ||eta|| and the geometric decay of ||eta_j||.  Both read
-                   one float level table built by `_analysis` and stop at
-                   the level chosen by one truncation rule (`_truncation`),
-                   so a point gets the same levels and bound either way.
+                   certified error bound: a tail bound, the smaller of the
+                   first-order |1 - m_D(eta)| <= 2 pi max||d|| ||eta|| and the
+                   second-order 2 pi ||mean d|| ||eta|| + 2 pi^2 lambda
+                   ||eta||^2 summed over the geometric decay of ||eta_j||,
+                   plus an a priori bound on the float rounding of the
+                   evaluation itself.  Both read one float level table built
+                   by `_analysis` and stop at the level chosen by one
+                   truncation rule (`_truncation`), so a point gets the same
+                   levels and bound either way.
                    `fourier` walks one point in a scalar loop;
                    `fourier_many` steps blocks of points level by level in
                    numpy, which pays off from about twenty points on (one
@@ -211,15 +215,21 @@ class _Analysis:
     # float(||M_n^{-1}|| upper bound) * (1 + 1e-12) per preperiod level: the
     # orbit bound's growth factor while the preperiod is walked.
     preperiod_growth: tuple[float, ...]
-    anchor_step: float                # float(anchor_contraction_up) * (1 + 1e-12)
-    tail_factor: float                # tail beyond an anchor = tail_factor * bound
+    # float(K) * (1 + 1e-12), with K < 1 the certified bound on the norm of
+    # the inverse of the product of unrolled_len period maps from phase 0.
+    anchor_step: float
+    # The tail beyond an anchor with orbit bound B is at most the smaller of
+    # tail_factor * B and (tail_linear + tail_quadratic * B) * B.
+    tail_factor: float
+    tail_linear: float
+    tail_quadratic: float
+    # Float rounding of a product of J levels at a point of norm r is at most
+    # rounding_per_norm * r + rounding_per_level * J (see `_truncation`).
+    rounding_per_norm: float
+    rounding_per_level: float
     preperiod_len: int
     unrolled_len: int                 # anchor spacing: a multiple of the period
-    anchor_contraction_up: Fraction   # certified >= ||(product of unrolled_len
-    #                                   period maps from phase 0)^{-1}||, < 1
     period_growth_up: Fraction        # certified >= any consecutive-run norm
-    anchor_tail_sum_up: Fraction      # certified >= sum of phase-0 run norms
-    gamma_up: Fraction                # certified >= max over levels max ||d||
     zero_floor_sq: Fraction           # min over levels of zero_norm_sq_floor
     # The zero scan's stop test ||eta||^2 G^2 < zero_floor_sq (G the period
     # growth bound) on eta = (nx, ny) / den, cross-multiplied to integers:
@@ -240,6 +250,58 @@ def _zero_norm_floor(digits: DigitSet) -> Fraction:
     return Fraction(1) / (2 * PI_UPPER * sqrt_upper(digits.max_norm_sq()))
 
 
+def _second_order(digits: DigitSet) -> tuple[float, float]:
+    """(||mean digit||^2, lambda) with lambda >= the top eigenvalue of the
+    digit covariance C = (1/#D) sum_d d d^T (Gershgorin's bound): exact
+    rationals, each rounded once to the nearest float.
+
+    With theta_d = 2 pi <d, eta>, 1 - m_D(eta) = -(i/#D) sum_d theta_d +
+    (1/#D) sum_d (1 + i theta_d - e^{i theta_d}), and |1 + i t - e^{it}| <=
+    t^2 / 2, so |1 - m_D(eta)| <= 2 pi ||mean d|| ||eta|| + 2 pi^2 lambda
+    ||eta||^2.  Every structured set sums to zero, leaving the square alone.
+    """
+    sx = sy = sxx = syy = sxy = 0
+    for x, y in digits.points():
+        sx, sy, sxx, syy, sxy = sx + x, sy + y, sxx + x * x, syy + y * y, sxy + x * y
+    n = len(digits)
+    return (sx * sx + sy * sy) / (n * n), (max(sxx, syy) + abs(sxy)) / n
+
+
+# Unit roundoff of IEEE double precision (round to nearest).
+_U = 2.0**-53
+# Assumed accuracy of a computed e^{it} (cmath.exp, numpy's complex exp):
+# each part within 4 ulps of the exact value, so within 4 sqrt(2) u <= 6 u
+# of it in modulus.
+_EXP_ERROR = 6.0
+
+
+def _rounding_constants(
+    gamma: float, n_max: int, alpha: float, nu0: float, runs: float
+) -> tuple[float, float]:
+    """(rounding_per_norm, rounding_per_level) of `_truncation`'s rounding
+    term.  gamma >= every digit norm, n_max the largest #D, alpha >= the
+    norm of every float level map with entries replaced by their moduli,
+    nu0 >= sum_{j>=0} ||eta_j|| / ||xi|| and runs >= sum_{j>=i} ||(M_j^* ...
+    M_{i+1}^*)^{-1}|| from any start level i.
+
+    A step adds an orbit error of at most rho ||computed eta|| (two roundings
+    per coordinate, plus the entries' own), and the error e_0 <= u ||xi|| of
+    xi's float; each reaches the later levels through the maps, so the
+    orbit errors E = sum_j ||e_j|| satisfy E <= runs (u ||xi|| (1 + rho) +
+    rho (nu0 ||xi|| + E)), solved for E / ||xi|| as `orbit`.  The margin
+    covers the (1 + O(u)) factors dropped here and the float evaluation of
+    these formulas."""
+    per_level = (_EXP_ERROR + 2.0 + math.sqrt(2.0) * (n_max + 1)) * _U
+    # Partial products may exceed modulus 1 by the mask and product roundings.
+    margin = (1.0 + 1e-6) * math.exp(2 * MAX_SCAN_LEVELS * per_level)
+    rho = 3.0 * _U * alpha * (1.0 + 1e-9)
+    if runs * rho >= 0.5:
+        return math.inf, margin * per_level
+    orbit = runs * (_U * (1.0 + rho) + rho * nu0) / (1.0 - runs * rho)
+    phases = TWO_PI * gamma * (5.0 * _U * (nu0 + orbit) + orbit)
+    return margin * phases, margin * per_level
+
+
 _NO_CONTRACTION = "period inverse products do not contract (no unrolling below 256 works)"
 
 
@@ -248,6 +310,8 @@ def _analysis(sys: MoranSystem) -> _Analysis:
     levels = []
     float_levels = []
     inverses = []
+    alpha = mean_sq = cov = 0.0
+    n_max = 0
     for m, d in sys.distinct():
         if m.det() == 0:
             raise SystemInvalid("system matrix is singular")
@@ -269,6 +333,11 @@ def _analysis(sys: MoranSystem) -> _Analysis:
         pts = tuple((float(dx), float(dy)) for dx, dy in d.points())
         acc0 = complex(pts[0] == (0.0, 0.0))
         float_levels.append((a, b, c, e, pts[1:] if acc0 else pts, len(pts), acc0))
+        # ||entrywise |A|||_2 <= the larger of its largest row and column sums.
+        alpha = max(alpha, abs(a) + abs(b), abs(c) + abs(e), abs(a) + abs(c), abs(b) + abs(e))
+        level_mean_sq, level_cov = _second_order(d)
+        mean_sq, cov = max(mean_sq, level_mean_sq), max(cov, level_cov)
+        n_max = max(n_max, len(pts))
     # Were every anchor product below contracting, its inverse, the period
     # product M_{p+1}^* ... M_{p+r}^*, would be expanding: test that first.
     if not is_expanding(mat_product(m.transpose() for m, _ in sys.period)):
@@ -290,43 +359,58 @@ def _analysis(sys: MoranSystem) -> _Analysis:
     while True:
         length = unroll * r
         growth = Fraction(0)
-        tail_sum = Fraction(0)
-        anchor = None
+        anchor_runs: list[Fraction] = []
         all_anchors_contract = True
         for phase in range(r):
             acc = Mat2.identity()
-            phase_sum = Fraction(0)
+            runs = []
             for step in range(1, length + 1):
                 acc = period[(phase + step - 1) % r] * acc
-                bound = operator_norm_upper(acc)
-                phase_sum += bound
-                if bound > growth:
-                    growth = bound
-            if bound >= 1:
+                runs.append(operator_norm_upper(acc))
+            growth = max(growth, *runs)
+            if runs[-1] >= 1:
                 all_anchors_contract = False
             if phase == 0:
-                anchor = bound
-                tail_sum = phase_sum
+                anchor_runs = runs
         if all_anchors_contract:
             break
         unroll *= 2
         if unroll > 256:
             raise SystemInvalid(_NO_CONTRACTION)
+    anchor = anchor_runs[-1]
+    tail_sum = sum(anchor_runs[1:], anchor_runs[0])
+    tail_sq_sum = sum((b * b for b in anchor_runs[1:]), anchor_runs[0] * anchor_runs[0])
     zero_floor_sq = min(l.zero_norm_sq_floor for l in levels)
-    gamma_up = max(l.gamma_up for l in levels)
+    gamma = float(max(l.gamma_up for l in levels))
     contraction = float(anchor)
+    # Sums of the orbit norms beyond an anchor, per unit of its bound B,
+    # with 1 - K and 1 - K^2 correctly rounded from K = k / q.
+    k, q = anchor.numerator, anchor.denominator
+    geo1 = float(tail_sum) / ((q - k) / q)
+    geo2 = float(tail_sq_sum) / ((q * q - k * k) / (q * q))
+    # nu >= sum_{j>=i} ||run from level i to j|| for i = p, p-1, ..., 0.
+    nu = 1.0 + geo1
+    runs_bound = nu
+    for g in reversed(preperiod_growth):
+        nu = 1.0 + g * nu
+        runs_bound = max(runs_bound, nu)
+    # From inside the periodic part: at most L - 1 runs of norm <= G up to
+    # the next anchor, then G times that anchor's sums.
+    runs_bound = max(runs_bound, 1.0 + float(growth) * (length - 1 + geo1))
+    per_norm, per_level = _rounding_constants(gamma, n_max, alpha, nu, runs_bound)
     return _Analysis(
         levels=EventuallyPeriodic(levels[:p], levels[p:]),
         float_levels=EventuallyPeriodic(float_levels[:p], float_levels[p:]),
         preperiod_growth=preperiod_growth,
         anchor_step=contraction * (1.0 + 1e-12),
-        tail_factor=2.0 * math.pi * float(gamma_up) * float(tail_sum) / (1.0 - contraction),
+        tail_factor=TWO_PI * gamma * geo1,
+        tail_linear=TWO_PI * math.sqrt(mean_sq) * geo1,
+        tail_quadratic=2.0 * math.pi**2 * cov * geo2,
+        rounding_per_norm=per_norm,
+        rounding_per_level=per_level,
         preperiod_len=p,
         unrolled_len=length,
-        anchor_contraction_up=anchor,
         period_growth_up=growth,
-        anchor_tail_sum_up=tail_sum,
-        gamma_up=gamma_up,
         zero_floor_sq=zero_floor_sq,
         stop_scale=growth.numerator**2 * zero_floor_sq.denominator,
         stop_floor=zero_floor_sq.numerator * growth.denominator**2,
@@ -438,8 +522,11 @@ def reduce_canonical(sys: MoranSystem) -> MoranSystem:
 @dataclass(frozen=True)
 class FourierResult:
     value: complex
-    bound: float       # certified bound on |true value - reported value|
+    # Certified bound on |true value - reported value|: the truncation tail
+    # plus float rounding.  Above eps only where rounding alone reaches eps.
+    bound: float
     levels: int        # truncation level J
+    rounding: float = 0.0  # the rounding part of bound
 
 
 def _is_exact_point(xi) -> bool:
@@ -458,29 +545,64 @@ def _float_point(xi) -> tuple[float, float]:
     return x, y
 
 
-def _truncation(ana: _Analysis, x: float, y: float, eps: float) -> tuple[int, float]:
-    """The truncation level J of the product at xi = (x, y) and its certified
-    tail bound, the first anchor level whose tail is <= eps.
+def _truncation(ana: _Analysis, x: float, y: float, eps: float) -> tuple[int, float, float]:
+    """The truncation level J of the product at xi = (x, y), its certified
+    error bound (tail plus rounding) and the rounding part of that bound.
+    J is the first anchor level whose bound is <= eps; where the rounding
+    part alone reaches eps first, J is the first anchor whose tail is <= eps
+    and the bound reported is that total, above eps.
 
-    Each omitted factor differs from 1 by at most 2 pi gamma ||eta_j||, and
-    partial products have modulus <= 1, so the error of stopping at level J
-    is at most 2 pi gamma sum_{j>J} ||eta_j||.  Future orbit norms are
-    bounded at anchor levels (preperiod end plus multiples of the unrolled
-    period): with K the anchor contraction and S the sum of partial-run
-    norms, the tail beyond an anchor with certified orbit bound B is at most
-    2 pi gamma B S / (1 - K).  The (1 + 1e-12) factors cover the rounding of
-    B's float recursion.
+    Tail.  Partial products have modulus <= 1, so stopping at level J errs
+    by at most sum_{j>J} |1 - m_{D_j}(eta_j)|, each term at most 2 pi gamma
+    ||eta_j|| and at most 2 pi ||mean d|| ||eta_j|| + 2 pi^2 lambda
+    ||eta_j||^2 (`_second_order`).  Future orbit norms are bounded at anchor
+    levels (preperiod end plus multiples of the unrolled period): with K the
+    anchor contraction and S, S_2 the sums of the partial-run norms and of
+    their squares, the tail beyond an anchor with certified orbit bound B is
+    at most the smaller of 2 pi gamma B S / (1 - K) and 2 pi ||mean d|| B S /
+    (1 - K) + 2 pi^2 lambda B^2 S_2 / (1 - K^2).  The (1 + 1e-12) factors
+    cover the rounding of B's float recursion and of the tail formulas.
+
+    Rounding (Higham's model: each float operation errs by at most u =
+    2^-53 relative, no underflow).  xi's own float differs from an exact point by u ||xi||.
+    Each orbit step with rounded (M^*)^{-1} entries adds an error of at most
+    3 u alpha ||computed eta||, which the later maps carry along, so the
+    orbit errors sum to at most `orbit` ||xi|| (`_rounding_constants`).  A
+    phase 2 pi <d, eta> is formed within 5 u ||d|| ||eta|| of the exact
+    phase at the computed eta; e^{it} is within 6 u (`_EXP_ERROR`); the mask
+    sum of #D terms within sqrt(2) (#D - 1) u, its division by #D within
+    2 u, and each step of the running product within 2 sqrt(2) u.  Summed
+    over the J levels this is at most rounding_per_norm ||xi|| +
+    rounding_per_level J, which holds for `fourier` and `fourier_many`
+    alike.
     """
-    bound = math.hypot(x, y) * (1.0 + 1e-12)
+    norm = math.hypot(x, y)
+    bound = norm * (1.0 + 1e-12)
     for growth in ana.preperiod_growth:
         bound *= growth
     j = ana.preperiod_len
-    tail_factor, step, stride = ana.tail_factor, ana.anchor_step, ana.unrolled_len
+    step, stride = ana.anchor_step, ana.unrolled_len
+    first_order, linear, quadratic = ana.tail_factor, ana.tail_linear, ana.tail_quadratic
+    # A zero point has an exact orbit, and an infinite rounding_per_norm (no
+    # control over the orbit's rounding) times 0 would be NaN.
+    rounding_at_0 = ana.rounding_per_norm * norm if norm else 0.0
+    per_level = ana.rounding_per_level
+    fallback = None
     while True:
-        tail = tail_factor * bound
+        tail = first_order * bound
+        second = (linear + quadratic * bound) * bound
+        if second < tail:
+            tail = second
         if tail <= eps:
-            return j, tail
+            rounding = rounding_at_0 + per_level * j
+            if tail + rounding <= eps:
+                return j, tail + rounding, rounding
+            fallback = fallback or (j, tail + rounding, rounding)
+            if rounding >= eps:
+                return fallback
         if j >= MAX_SCAN_LEVELS:
+            if fallback:
+                return fallback
             raise CapExceeded("truncation level exceeded hard cap")
         j += stride
         bound *= step
@@ -490,11 +612,13 @@ _I_TWO_PI = 1j * TWO_PI
 
 
 def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
-    """Truncated Fourier product with certified tail bound <= eps.
+    """Truncated Fourier product with a certified error bound, <= eps
+    unless float rounding alone reaches eps.
 
     An exact (int or Fraction) point in the zero set returns 0 with bound 0
     at the certificate's level; otherwise the product runs to the level set
-    by `_truncation`.  Non-finite coordinates raise ValueError.
+    by `_truncation` at the point's float, whose rounding the bound covers.
+    Non-finite coordinates raise ValueError.
     """
     if not eps > 0:
         raise ValueError("tolerance must be positive")
@@ -504,7 +628,7 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
             return FourierResult(0j, 0.0, cert.level)
     x, y = _float_point(xi)
     ana = _analysis(sys)
-    levels, tail = _truncation(ana, x, y, eps)
+    levels, bound, rounding = _truncation(ana, x, y, eps)
     exp = cmath.exp
     value = complex(1.0)
     for a, b, c, d, digits, n, acc in islice(ana.float_levels, levels):
@@ -512,7 +636,7 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
         for dx, dy in digits:
             acc += exp(_I_TWO_PI * (dx * x + dy * y))
         value *= acc / n
-    return FourierResult(value, tail, levels)
+    return FourierResult(value, bound, levels, rounding)
 
 
 FOURIER_BLOCK = 256
@@ -565,8 +689,8 @@ def _fourier_blocks(ana: _Analysis, xis: Iterator, eps: float) -> Iterator[Fouri
         values = [0j] * len(block)
         for i, v in zip(order, value.tolist()):
             values[i] = v
-        for v, (j, tail) in zip(values, cuts):
-            yield FourierResult(v, tail, j)
+        for v, (j, bound, rounding) in zip(values, cuts):
+            yield FourierResult(v, bound, j, rounding)
 
 
 # --- exact zero certificates -------------------------------------------------

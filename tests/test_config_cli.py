@@ -156,8 +156,10 @@ class TestExitCodes:
         assert main(["classify", write(tmp_path, CONST_2I), "--check"]) == 0
 
     def test_cap_exit_4(self, tmp_path):
+        outdir = tmp_path / "out"
         assert main(["emit", write(tmp_path, CONST_2I), "--depth", "9", "--grid", "2",
-                     "--out", str(tmp_path), "--cap", "100"]) == 4
+                     "--out", str(outdir), "--cap", "100"]) == 4
+        assert not outdir.exists()
 
     def test_hadamard_mismatch_exit_2(self, tmp_path):
         bad = HADAMARD_OK.replace(" 1,1", "")
@@ -212,6 +214,7 @@ class TestExitCodes:
             ["emit", "--grid", "0"],
             ["emit", "--grid", "-3"],
             ["spectrum", "--kind", "lattice", "--box", "-1"],
+            ["emit", "--depth", "0"],
         ],
     )
     def test_bad_ranges_exit_2(self, tmp_path, capsys, argv):
@@ -256,7 +259,9 @@ class TestCommands:
         assert main(["fourier", write(tmp_path, CONST_2I), "--xi", "0.3,0.7",
                      "--eps", "1e-8"]) == 0
         out = capsys.readouterr().out
-        assert "bound" in out
+        truncation = json.loads(out.split("-- report --\n")[1].splitlines()[0])["truncation"]
+        assert 0 < truncation["rounding"] < truncation["bound"] <= 1e-8
+        assert f"rounding={truncation['rounding']}" in out
 
     def test_spectrum_tower_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "pts.csv"

@@ -2,6 +2,7 @@
 independent numeric evaluations on randomized inputs."""
 
 import cmath
+import itertools
 import math
 import random
 import time
@@ -21,7 +22,14 @@ from moranspectra.digitsets import (
     scaled_canonical,
     sum_set,
 )
-from moranspectra.lattice import Mat2, inverse_norm_below_one, inverse_norm_upper, is_expanding
+from moranspectra.lattice import (
+    Mat2,
+    inverse_norm_below_one,
+    inverse_norm_upper,
+    is_expanding,
+    operator_norm_upper,
+    sqrt_upper,
+)
 from moranspectra.mask import (
     eval_mask,
     is_hadamard_triple,
@@ -529,12 +537,52 @@ def _reference_fourier(sysm, xi, eps):
     """The scalar loop `fourier` ran before its float level table, kept as a
     reference: per-level float (M^*)^{-1} and ||M^{-1}|| bounds taken from the
     system's exact matrices, the anchor recursion written out, and
-    `eval_mask` for every factor.  Exact points are not short-circuited."""
-    ana = moran._analysis(sysm)
+    `eval_mask` for every factor.  Exact points are not short-circuited.
+
+    The truncation rule is restated from the exact data: the run norms of
+    the unrolled period, the digits' mean and Gershgorin covariance bound,
+    and the rounding constants of `moran._truncation`; only the unrolled
+    length is read from `_analysis`."""
+    u = 2.0**-53
+    length = moran._analysis(sysm).unrolled_len
+    p = len(sysm.preperiod)
     inv = {m: m.transpose().inverse().as_float_rows() for m in sysm.matrices()}
-    contraction = float(ana.anchor_contraction_up)
-    gamma = float(ana.gamma_up)
-    tail_factor = 2.0 * math.pi * gamma * float(ana.anchor_tail_sum_up) / (1.0 - contraction)
+    maps = [m.transpose().inverse() for m in sysm.matrices()]
+    period = maps[p:]
+    runs_by_phase = []
+    for phase in range(len(period)):
+        acc, runs = Mat2.identity(), []
+        for step in range(length):
+            acc = period[(phase + step) % len(period)] * acc
+            runs.append(operator_norm_upper(acc))
+        runs_by_phase.append(runs)
+    runs = runs_by_phase[0]
+    contraction, growth = runs[-1], max(max(r) for r in runs_by_phase)
+    geo1 = float(sum(runs)) / float(1 - contraction)
+    geo2 = float(sum(r * r for r in runs)) / float(1 - contraction * contraction)
+    digit_sets = [d.points() for _, d in sysm.distinct()]
+    gamma = float(max(sqrt_upper(max(x * x + y * y for x, y in pts)) for pts in digit_sets))
+    mean_sq = max(Fraction(sum(x for x, _ in pts) ** 2 + sum(y for _, y in pts) ** 2,
+                           len(pts) ** 2) for pts in digit_sets)
+    cov = max(Fraction(max(sum(x * x for x, _ in pts), sum(y * y for _, y in pts))
+                       + abs(sum(x * y for x, y in pts)), len(pts)) for pts in digit_sets)
+    first_order = 2.0 * math.pi * gamma * geo1
+    linear = 2.0 * math.pi * math.sqrt(float(mean_sq)) * geo1
+    quadratic = 2.0 * math.pi**2 * float(cov) * geo2
+    pre_growth = [float(inverse_norm_upper(m)) * (1.0 + 1e-12) for m, _ in sysm.preperiod]
+    nu = runs_bound = 1.0 + geo1
+    for g in reversed(pre_growth):
+        nu = 1.0 + g * nu
+        runs_bound = max(runs_bound, nu)
+    runs_bound = max(runs_bound, 1.0 + float(growth) * (length - 1 + geo1))
+    alpha = max(max(abs(a) + abs(b), abs(c) + abs(e), abs(a) + abs(c), abs(b) + abs(e))
+                for (a, b), (c, e) in inv.values())
+    rho = 3.0 * u * alpha * (1.0 + 1e-9)
+    orbit = runs_bound * (u * (1.0 + rho) + rho * nu) / (1.0 - runs_bound * rho)
+    per_level = (6.0 + 2.0 + math.sqrt(2.0) * (max(map(len, digit_sets)) + 1)) * u
+    margin = (1.0 + 1e-6) * math.exp(2 * moran.MAX_SCAN_LEVELS * per_level)
+    per_norm = margin * (2.0 * math.pi * gamma * (5.0 * u * (nu + orbit) + orbit))
+    per_level = margin * per_level
 
     def factor(j, x, y):
         m, d = sysm.level(j)
@@ -543,23 +591,32 @@ def _reference_fourier(sysm, xi, eps):
         return x, y, eval_mask(d, (x, y))
 
     x, y = float(xi[0]), float(xi[1])
-    bound = math.hypot(x, y) * (1.0 + 1e-12)
-    value = complex(1.0)
-    j = 0
-    while j < ana.preperiod_len:
-        j += 1
-        x, y, f = factor(j, x, y)
-        bound *= float(inverse_norm_upper(sysm.level(j)[0])) * (1.0 + 1e-12)
-        value *= f
+    norm = math.hypot(x, y)
+    bound = norm * (1.0 + 1e-12)
+    for g in pre_growth:
+        bound *= g
+    # The first anchor whose tail plus rounding is <= eps, or, once the
+    # rounding alone reaches eps, the first anchor whose tail is <= eps.
+    j, fallback = p, None
     while True:
-        tail = tail_factor * bound
+        tail = min(first_order * bound, (linear + quadratic * bound) * bound)
         if tail <= eps:
-            return FourierResult(value, tail, j)
-        for _ in range(ana.unrolled_len):
-            j += 1
-            x, y, f = factor(j, x, y)
-            value *= f
-        bound *= contraction * (1.0 + 1e-12)
+            rounding = per_norm * norm + per_level * j
+            fallback = fallback or (j, tail + rounding, rounding)
+            if tail + rounding <= eps:
+                cut = (j, tail + rounding, rounding)
+                break
+            if rounding >= eps:
+                cut = fallback
+                break
+        j += length
+        bound *= float(contraction) * (1.0 + 1e-12)
+    levels, total, rounding = cut
+    value = complex(1.0)
+    for n in range(1, levels + 1):
+        x, y, f = factor(n, x, y)
+        value *= f
+    return FourierResult(value, total, levels, rounding)
 
 
 FOURIER_SYSTEMS = {
@@ -653,18 +710,51 @@ def _mp_fourier(sysm, xi, levels):
 
 
 def test_fourier_many_within_bound_of_mpmath():
-    """|fourier_many - exact product| <= bound on sampled points.  The
-    reference runs 80 levels past J, where its own tail is negligible.  The
-    bound covers truncation only; eps stops at 1e-12, where float rounding
-    (ROADMAP item 2(b)) stays below it."""
+    """|fourier_many - exact product| <= bound on sampled points, from eps
+    1e-4 down to 1e-14, where float rounding dominates the bound at the far
+    points, and at small points along the top eigenvector of the digit
+    covariance, where the second-order tail is tight.  The reference runs 80
+    levels past J, where its own tail is negligible."""
     pytest.importorskip("mpmath")
     rng = random.Random(808)
     for name, sysm in FOURIER_SYSTEMS.items():
         points = _float_points(rng, 3)
-        for eps in (1e-4, 1e-8, 1e-12):
+        for eps in FOURIER_EPS:
             for xi, res in zip(points, fourier_many(sysm, points, eps)):
                 err = float(abs(_mp_fourier(sysm, xi, res.levels + 80) - res.value))
                 assert err <= res.bound, (name, eps, xi, err, res.bound)
+    small = [(1e-3, 1e-3), (1e-6, 1e-6)]
+    for name in ("2I", "sum16"):
+        sysm = FOURIER_SYSTEMS[name]
+        for xi, res in zip(small, fourier_many(sysm, small, 1e-12)):
+            err = float(abs(_mp_fourier(sysm, xi, res.levels + 80) - res.value))
+            assert err <= res.bound <= 1e-12, (name, xi, err, res.bound)
+
+
+def test_second_order_mask_bound_against_mpmath():
+    """|1 - m_D(eta)| <= 2 pi ||mean d|| ||eta|| + 2 pi^2 lambda ||eta||^2
+    with `_second_order`'s (||mean d||^2, lambda), at 40 digits, for every
+    digit set of the Fourier systems, at small and large eta along the axes,
+    the diagonals (D0's covariance eigenvectors) and random directions;
+    lambda is 3/4 on D0."""
+    mpmath = pytest.importorskip("mpmath")
+    assert moran._second_order(D0) == (0.0, 0.75)
+    rng = random.Random(909)
+    digit_sets = {d for sysm in FOURIER_SYSTEMS.values() for _, d in sysm.distinct()}
+    assert len(digit_sets) >= 5
+    with mpmath.workdps(40):
+        for digits in digit_sets:
+            mean_sq, lam = moran._second_order(digits)
+            pts = digits.points()
+            directions = [(1, 1), (1, -1), (1, 0), (0, 1)]
+            directions += [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(6)]
+            for (ux, uy), r in itertools.product(directions, (1e-6, 1e-3, 0.05, 0.3, 2.0)):
+                x = mpmath.mpf(ux) * r / mpmath.sqrt(ux * ux + uy * uy)
+                y = mpmath.mpf(uy) * r / mpmath.sqrt(ux * ux + uy * uy)
+                m = mpmath.fsum(mpmath.expjpi(2 * (dx * x + dy * y)) for dx, dy in pts) / len(pts)
+                norm = mpmath.sqrt(x * x + y * y)
+                rhs = 2 * mpmath.pi * mpmath.sqrt(mean_sq) * norm + 2 * mpmath.pi**2 * lam * norm**2
+                assert abs(1 - m) <= rhs, (digits, ux, uy, r)
 
 
 @given(st.text(alphabet="period:\n matrixdigts0123456789,-/ canol", max_size=120))

@@ -1,6 +1,7 @@
 """Edge coverage: level citation in verdicts, preperiod/period interplay,
 tolerance behavior, and config corner cases."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from moranspectra.config import parse_config
 from moranspectra.digitsets import canonical_digits, scaled_canonical
 from moranspectra.lattice import Mat2
 from moranspectra.moran import (
+    FourierResult,
     MoranSystem,
     TWord,
     fourier,
@@ -86,6 +88,15 @@ class TestFourierTolerances:
         far = fourier(sysm, (300.3, 700.7), 1e-8)
         assert far.levels > near.levels
         assert far.bound <= 1e-8
+
+    def test_uncontrolled_rounding_bound_is_infinite(self):
+        # Runs of up to 31 inverse maps reach norms near 10^5, so the orbit's
+        # rounding errors are not bounded: the bound says so, and the exact
+        # orbit of the origin keeps its exact bound.
+        sysm = MoranSystem.constant(Mat2(2, 10**6, 0, 2), D0)
+        far = fourier(sysm, (0.3, 0.7), 1e-8)
+        assert far.bound == far.rounding == math.inf
+        assert fourier(sysm, (0.0, 0.0), 1e-8) == FourierResult(1 + 0j, 0.0, 0, 0.0)
 
 
 class TestConfigCorners:
