@@ -1,4 +1,4 @@
-"""Exact 2x2 lattice arithmetic.
+"""Exact 2x2 lattice arithmetic and exact point sets.
 
 Everything here is decision-grade: matrices carry Python ints or
 ``fractions.Fraction`` entries, so determinants, inverses, products and the
@@ -7,6 +7,10 @@ two eigenvalue-flavoured predicates (`is_expanding`,
 predicates are algebraic case splits on characteristic polynomials, which
 keeps them correct arbitrarily close to the unit circle where a numeric
 eigenvalue solve could misclassify.
+
+Exact point sets are integer numerators over one denominator, formed only by
+`over_common_denominator`; `digit_expansion` sums product sets and
+`distinct_differences` walks a set's distinct differences.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import filterfalse, repeat
+from operator import sub
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vec2 = tuple[Scalar, Scalar]
@@ -190,6 +196,64 @@ class ResidueSet:
 def residue_set(n: int) -> ResidueSet:
     """F_n = {(l1, l2): l_i in {0..n-1}}, the standard complete residue grid."""
     return ResidueSet(n)
+
+
+# --- exact point sets ----------------------------------------------------
+
+
+def over_common_denominator(values: Iterable) -> tuple[list[int], int]:
+    """Exact rationals as integer numerators over one q > 0, the lcm of
+    their denominators: value i is numerators[i] / q.  Ints and Fractions
+    are read as they are, anything else (a float, a str) through Fraction."""
+    # Fraction(v) on a Fraction re-validates it through the numbers ABCs: slow.
+    vals = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
+    q = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (q // v.denominator) for v in vals], q
+
+
+def digit_expansion(stages: Iterable[Sequence[Vec2]]) -> tuple[list[tuple[int, int]], int]:
+    """Every sum sum_j v_j with v_j in the j-th stage's set (the images
+    A_j x_j of the x_j in X_j), exactly.
+
+    The sums come as integer numerators (nx, ny) over one q > 0, reduced by
+    the gcd of q and every numerator, so q is the lcm of the sums'
+    denominators; the first stage varies slowest.
+    """
+    images = [list(level) for level in stages]
+    nums, q = over_common_denominator(c for level in images for x, y in level for c in (x, y))
+    xs, ys, start = [0], [0], 0
+    for level in images:
+        end = start + 2 * len(level)
+        xs = [px + dx for px in xs for dx in nums[start:end:2]]
+        ys = [py + dy for py in ys for dy in nums[start + 1:end:2]]
+        start = end
+    g = math.gcd(q, *xs, *ys)
+    if g > 1:
+        q, xs, ys = q // g, [x // g for x in xs], [y // g for y in ys]
+    return list(zip(xs, ys)), q
+
+
+def distinct_differences(ints: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int, int]]:
+    """The distinct sign-canonical differences of integer points, in order of
+    first appearance along the pair walk (i < j, row by row).
+
+    Yields (i, dx, dy) with (dx, dy) = +-(p_i - p_j), signed so that dx > 0
+    or dx == 0 <= dy, for the first pair (i, j) that has it.  Each point is
+    one int z = x K + y with odd K > 4 max|y|, so z_i - z_j has the sign of
+    (dx, dy) in lexicographic order and decodes by divmod.  A C-level filter
+    drops the differences seen before (both signs are recorded), so Python
+    code runs once per distinct difference, not once per pair.
+    """
+    k = 4 * max((abs(y) for _, y in ints), default=0) + 1
+    half = k // 2
+    zs = [x * k + y for x, y in ints]
+    seen: set[int] = set()
+    for i, zi in enumerate(zs):
+        for d in filterfalse(seen.__contains__, map(sub, repeat(zi), zs[i + 1:])):
+            seen.add(d)
+            seen.add(-d)
+            dx, dy = divmod(abs(d) + half, k)
+            yield i, dx, dy - half
 
 
 # --- certified rational bounds -------------------------------------------

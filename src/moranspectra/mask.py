@@ -3,7 +3,9 @@
 The mask polynomial of a digit set D is
 m_D(xi) = (1/#D) sum_d exp(2 pi i <d, xi>), a Z^2-periodic trigonometric
 polynomial with m_D(0) = 1 and |m_D| <= 1.  Numeric evaluation lives in
-`eval_mask`; every verdict-bearing zero test goes through exact kernels:
+`eval_mask`; every verdict-bearing zero test goes through exact kernels
+on integer numerators over one denominator, and `zero_kernel` is the one
+place that picks a digit set's kernel:
 
 * structured four-point sets use the closed-form zero set
   Z(m_D) = {xi : 2 Q^t xi in Z^2 \\ 2 Z^2},
@@ -19,10 +21,20 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .digitsets import DigitSet, StructuredDigitSet
-from .lattice import Mat2, Vec2
+from .lattice import (
+    PI_UPPER,
+    Mat2,
+    Vec2,
+    digit_expansion,
+    distinct_differences,
+    operator_norm_upper,
+    over_common_denominator,
+    sqrt_upper,
+)
 
 TWO_PI = 2.0 * cmath.pi
 
@@ -128,9 +140,8 @@ class UnityRootSum:
         return sum(c * cmath.exp(1j * TWO_PI * float(e)) for e, c in self.counts)
 
     def is_zero(self) -> bool:
-        q = math.lcm(*(e.denominator for e, _ in self.counts))
-        terms = {e.numerator * (q // e.denominator) % q: c for e, c in self.counts}
-        return _vanishes(terms, q)
+        nums, q = over_common_denominator(e for e, _ in self.counts)
+        return _vanishes({k % q: c for k, (_, c) in zip(nums, self.counts)}, q)
 
 
 def unity_sum_is_zero(exponents: Iterable) -> bool:
@@ -150,26 +161,9 @@ def unity_sum_is_zero_ints(numerators: Iterable[int], q: int) -> bool:
 # --- exact mask zero tests -------------------------------------------------
 
 
-def rational_vec(xi) -> tuple[Fraction, Fraction]:
-    # Fraction(c) would re-validate a Fraction through the numbers ABCs,
-    # which costs more than a level of the exact zero scan.
-    x, y = xi
-    return (
-        x if type(x) is Fraction else Fraction(x),
-        y if type(y) is Fraction else Fraction(y),
-    )
-
-
-def over_common_denominator(xi) -> tuple[int, int, int]:
-    """(nx, ny, den) with xi = (nx, ny) / den exactly and den > 0 the lcm of
-    the coordinates' denominators."""
-    x, y = rational_vec(xi)
-    den = math.lcm(x.denominator, y.denominator)
-    return (
-        x.numerator * (den // x.denominator),
-        y.numerator * (den // y.denominator),
-        den,
-    )
+def _integer_point(xi) -> tuple[int, int, int]:
+    (nx, ny), den = over_common_denominator(xi)
+    return nx, ny, den
 
 
 def structured_zero_ints(digits: StructuredDigitSet, nx: int, ny: int, den: int) -> bool:
@@ -187,26 +181,43 @@ def structured_zero_ints(digits: StructuredDigitSet, nx: int, ny: int, den: int)
 
 def mask_zero_exact(digits: StructuredDigitSet, xi) -> bool:
     """`structured_zero_ints` at a rational point."""
-    return structured_zero_ints(digits, *over_common_denominator(xi))
+    return structured_zero_ints(digits, *_integer_point(xi))
 
 
 def generic_zero_ints(digits: DigitSet, nx: int, ny: int, den: int) -> bool:
     """Exact zero test for any finite digit set at xi = (nx, ny) / den,
-    den > 0: the unit-root sum of the numerators dx nx + dy ny over den,
-    which the kernel reduces by their common gcd with den."""
-    return _vanishes(Counter((dx * nx + dy * ny) % den for dx, dy in digits.points()), den)
+    den > 0: the unit-root sum of the numerators dx nx + dy ny over den."""
+    return unity_sum_is_zero_ints((dx * nx + dy * ny for dx, dy in digits.points()), den)
 
 
 def mask_zero_exact_generic(digits: DigitSet, xi) -> bool:
     """`generic_zero_ints` at a rational point."""
-    return generic_zero_ints(digits, *over_common_denominator(xi))
+    return generic_zero_ints(digits, *_integer_point(xi))
+
+
+def zero_kernel(digits: DigitSet) -> Callable[[int, int, int], bool]:
+    """The digit set's exact zero test at (nx, ny) / den: the structured
+    closed form where it applies, the unit-root sum otherwise."""
+    if isinstance(digits, StructuredDigitSet):
+        return partial(structured_zero_ints, digits)
+    return partial(generic_zero_ints, digits)
+
+
+def zero_norm_floor(digits: DigitSet) -> Fraction:
+    """A positive rational below every ||eta|| with m_D(eta) = 0.
+
+    Structured sets: 2 Q^t eta is a nonzero integer vector on the zero set,
+    so ||eta|| >= 1 / (2 ||Q||).  Generic sets: 1 = |1 - m_D(eta)| <=
+    2 pi max||d|| ||eta||.
+    """
+    if isinstance(digits, StructuredDigitSet):
+        return Fraction(1) / (2 * operator_norm_upper(digits.q_matrix()))
+    return Fraction(1) / (2 * PI_UPPER * sqrt_upper(digits.max_norm_sq()))
 
 
 def digit_mask_zero(digits: DigitSet, xi) -> bool:
-    """Dispatch to the structured closed form when available."""
-    if isinstance(digits, StructuredDigitSet):
-        return mask_zero_exact(digits, xi)
-    return mask_zero_exact_generic(digits, xi)
+    """Exact m_D(xi) = 0 at a rational point, by the digit set's kernel."""
+    return zero_kernel(digits)(*_integer_point(xi))
 
 
 def is_hadamard_triple(m: Mat2, digits: DigitSet, companions: Sequence[Vec2]) -> bool:
@@ -214,27 +225,24 @@ def is_hadamard_triple(m: Mat2, digits: DigitSet, companions: Sequence[Vec2]) ->
 
     (M, D, L) is Hadamard iff every difference of distinct companion points,
     pulled back through (M^*)^{-1}, lands in the zero set of m_D.  Rational
-    companion points are accepted; all arithmetic is exact.
+    companion points are accepted.  They are scaled to integer numerators
+    over one denominator, and each distinct sign-canonical difference (the
+    zero set is symmetric) is pulled back by the integer form of (M^*)^{-1}
+    and decided by the digit set's kernel.
     """
     points = list(companions)
     if len(digits) != len(points):
-        raise CardinalityMismatch(
-            f"#D = {len(digits)} but #L = {len(points)}"
-        )
-    if len(set((Fraction(x), Fraction(y)) for x, y in points)) != len(points):
+        raise CardinalityMismatch(f"#D = {len(digits)} but #L = {len(points)}")
+    ints, q = digit_expansion([points])
+    if len(set(ints)) != len(ints):
         raise CardinalityMismatch("companion set has repeated points")
     if m.det() == 0:
         raise SingularMatrix("system matrix must be invertible")
-    minv_t = m.transpose().inverse()
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            diff = (
-                Fraction(points[i][0]) - Fraction(points[j][0]),
-                Fraction(points[i][1]) - Fraction(points[j][1]),
-            )
-            if not digit_mask_zero(digits, minv_t.apply(diff)):
-                return False
-    return True
+    (a, b, c, d), e = over_common_denominator(m.transpose().inverse().entries())
+    zero = zero_kernel(digits)
+    return all(
+        zero(a * dx + b * dy, c * dx + d * dy, e * q) for _, dx, dy in distinct_differences(ints)
+    )
 
 
 def partition_of_unity_residual(
@@ -246,11 +254,10 @@ def partition_of_unity_residual(
     exponential matrix have unit norm); the residual quantifies how far a
     candidate triple is from that identity.
     """
-    minv_t = m.transpose().inverse()
+    eta = m.transpose().inverse().as_float_rows()
     x, y = float(xi[0]), float(xi[1])
     total = 0.0
     for lx, ly in companions:
-        eta = minv_t.as_float_rows()
         px = eta[0][0] * (x + float(lx)) + eta[0][1] * (y + float(ly))
         py = eta[1][0] * (x + float(lx)) + eta[1][1] * (y + float(ly))
         val = eval_mask(digits, (px, py))

@@ -47,27 +47,20 @@ from typing import Callable, Generic, Iterable, Iterator, Optional, Sequence, Ty
 
 import numpy as np
 
-from .digitsets import DigitSet, StructuredDigitSet, scaled_by_matrix
+from .digitsets import DigitSet, scaled_by_matrix
 from .lattice import (
     Mat2,
-    PI_UPPER,
-    Vec2,
+    digit_expansion,
     inverse_norm_upper,
     is_expanding,
     in_gl2_2z,
     inverse_norm_below_one,
     mat_product,
     operator_norm_upper,
+    over_common_denominator,
     sqrt_upper,
 )
-from .mask import (
-    TWO_PI,
-    digit_mask_zero,
-    generic_zero_ints,
-    over_common_denominator,
-    rational_vec,
-    structured_zero_ints,
-)
+from .mask import TWO_PI, digit_mask_zero, zero_kernel, zero_norm_floor
 
 Level = tuple[Mat2, DigitSet]
 
@@ -193,11 +186,9 @@ def conjugate_system(sys: MoranSystem, q: Mat2) -> MoranSystem:
 
 @dataclass(frozen=True)
 class _LevelData:
-    digits: DigitSet
     minv_t_num: tuple[int, int, int, int]  # (M^*)^{-1} = minv_t_num / minv_t_den
     minv_t_den: int                   # exactly, with minv_t_den > 0
-    gamma_up: Fraction                # certified >= max ||d||
-    zero_norm_sq_floor: Fraction      # ||eta||^2 >= this on Z(m_D)
+    zero: Callable[[int, int, int], bool]  # the digit set's `mask.zero_kernel`
 
 
 # One distinct level of the float evaluator: the entries a, b, c, d of
@@ -230,24 +221,12 @@ class _Analysis:
     preperiod_len: int
     unrolled_len: int                 # anchor spacing: a multiple of the period
     period_growth_up: Fraction        # certified >= any consecutive-run norm
-    zero_floor_sq: Fraction           # min over levels of zero_norm_sq_floor
+    zero_floor_sq: Fraction           # min over levels of mask.zero_norm_floor^2
     # The zero scan's stop test ||eta||^2 G^2 < zero_floor_sq (G the period
     # growth bound) on eta = (nx, ny) / den, cross-multiplied to integers:
     # (nx^2 + ny^2) * stop_scale < stop_floor * den^2.
     stop_scale: int
     stop_floor: int
-
-
-def _zero_norm_floor(digits: DigitSet) -> Fraction:
-    """A positive rational below every ||eta|| with m_D(eta) = 0.
-
-    Structured sets: 2 Q^t eta is a nonzero integer vector on the zero set,
-    so ||eta|| >= 1 / (2 ||Q||).  Generic sets: 1 = |1 - m_D(eta)| <=
-    2 pi max||d|| ||eta||.
-    """
-    if isinstance(digits, StructuredDigitSet):
-        return Fraction(1) / (2 * operator_norm_upper(digits.q_matrix()))
-    return Fraction(1) / (2 * PI_UPPER * sqrt_upper(digits.max_norm_sq()))
 
 
 def _second_order(digits: DigitSet) -> tuple[float, float]:
@@ -318,17 +297,8 @@ def _analysis(sys: MoranSystem) -> _Analysis:
         minv_t = m.transpose().inverse()
         inverses.append(minv_t)
         entries = minv_t.entries()
-        den = math.lcm(*(e.denominator for e in entries))
-        floor = _zero_norm_floor(d)
-        levels.append(
-            _LevelData(
-                digits=d,
-                minv_t_num=tuple(e.numerator * (den // e.denominator) for e in entries),
-                minv_t_den=den,
-                gamma_up=sqrt_upper(d.max_norm_sq()),
-                zero_norm_sq_floor=floor * floor,
-            )
-        )
+        num, den = over_common_denominator(entries)
+        levels.append(_LevelData(tuple(num), den, zero_kernel(d)))
         a, b, c, e = (float(v) for v in entries)
         pts = tuple((float(dx), float(dy)) for dx, dy in d.points())
         acc0 = complex(pts[0] == (0.0, 0.0))
@@ -380,8 +350,8 @@ def _analysis(sys: MoranSystem) -> _Analysis:
     anchor = anchor_runs[-1]
     tail_sum = sum(anchor_runs[1:], anchor_runs[0])
     tail_sq_sum = sum((b * b for b in anchor_runs[1:]), anchor_runs[0] * anchor_runs[0])
-    zero_floor_sq = min(l.zero_norm_sq_floor for l in levels)
-    gamma = float(max(l.gamma_up for l in levels))
+    zero_floor_sq = min(zero_norm_floor(d) ** 2 for _, d in sys.distinct())
+    gamma = float(max(sqrt_upper(d.max_norm_sq()) for _, d in sys.distinct()))
     contraction = float(anchor)
     # Sums of the orbit norms beyond an anchor, per unit of its bound B,
     # with 1 - K and 1 - K^2 correctly rounded from K = k / q.
@@ -501,7 +471,7 @@ def reduce_canonical(sys: MoranSystem) -> MoranSystem:
     one; the measure is unchanged.  The result is eventually periodic with
     the preperiod extended by one level.
     """
-    from .digitsets import canonical_digits
+    from .digitsets import StructuredDigitSet, canonical_digits
 
     for _, d in sys.distinct():
         if not isinstance(d, StructuredDigitSet):
@@ -727,12 +697,13 @@ def fourier_zero_exact(sys: MoranSystem, xi) -> Optional[ZeroCertificate]:
     norm any mask zero can have, no later level can vanish and the scan
     stops with None.  The scan itself is `_zero_scan`.
     """
-    xi = rational_vec(xi)
-    hit = _zero_scan(_analysis(sys), *over_common_denominator(xi))
+    (nx, ny), den = over_common_denominator(xi)
+    hit = _zero_scan(_analysis(sys), nx, ny, den)
     if hit is None:
         return None
-    level, nx, ny, den = hit
-    return ZeroCertificate(level=level, witness=(Fraction(nx, den), Fraction(ny, den)), xi=xi)
+    level, wx, wy, wden = hit
+    witness = (Fraction(wx, wden), Fraction(wy, wden))
+    return ZeroCertificate(level, witness, (Fraction(nx, den), Fraction(ny, den)))
 
 
 def _zero_scan(
@@ -744,9 +715,9 @@ def _zero_scan(
 
     The orbit is carried as integer numerators over one denominator, reduced
     by their gcd at every level, so the result does not depend on how xi was
-    scaled; the structured closed-form zero test, the generic unit-root sum
-    test (`mask.generic_zero_ints`) and the stop test all run on those
-    integers.  Raises CapExceeded past MAX_SCAN_LEVELS levels.
+    scaled; each level's zero test (`mask.zero_kernel`, chosen once by
+    `_analysis`) and the stop test run on those integers.  Raises
+    CapExceeded past MAX_SCAN_LEVELS levels.
     """
     for j, lv in enumerate(ana.levels, 1):
         if j > MAX_SCAN_LEVELS:
@@ -756,11 +727,7 @@ def _zero_scan(
         g = math.gcd(nx, ny, den)
         if g > 1:
             nx, ny, den = nx // g, ny // g, den // g
-        if isinstance(lv.digits, StructuredDigitSet):
-            hit = structured_zero_ints(lv.digits, nx, ny, den)
-        else:
-            hit = generic_zero_ints(lv.digits, nx, ny, den)
-        if hit:
+        if lv.zero(nx, ny, den):
             return j, nx, ny, den
         if (
             j >= ana.preperiod_len
@@ -866,28 +833,6 @@ def integer_periodic_zero_nonempty(
 
 
 # --- sums over product sets ---------------------------------------------------
-
-
-def digit_expansion(stages: Iterable[Sequence[Vec2]]) -> tuple[list[tuple[int, int]], int]:
-    """Every sum sum_j v_j with v_j in the j-th stage's set (the images
-    A_j x_j of the x_j in X_j), exactly.
-
-    The sums come as integer numerators (nx, ny) over one q > 0, reduced by
-    the gcd of q and every numerator, so q is the lcm of the sums'
-    denominators; the first stage varies slowest.
-    """
-    images = list(stages)
-    q = math.lcm(*(c.denominator for level in images for p in level for c in p))
-    xs, ys = [0], [0]
-    for level in images:
-        ix = [x.numerator * (q // x.denominator) for x, _ in level]
-        iy = [y.numerator * (q // y.denominator) for _, y in level]
-        xs = [px + dx for px in xs for dx in ix]
-        ys = [py + dy for py in ys for dy in iy]
-    g = math.gcd(q, *xs, *ys)
-    if g > 1:
-        q, xs, ys = q // g, [x // g for x in xs], [y // g for y in ys]
-    return list(zip(xs, ys)), q
 
 
 def attractor_sums(sys: MoranSystem, depth: int) -> tuple[list[tuple[int, int]], int]:

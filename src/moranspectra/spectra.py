@@ -22,16 +22,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import filterfalse, repeat
-from operator import sub
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .classify import SPECTRAL, classify_thm16, thm16_shape
 from .digitsets import StructuredDigitSet
-from .lattice import Mat2, Vec2, in_gl2_2z
-from .mask import is_hadamard_triple, rational_vec, unity_sum_is_zero_ints
+from .lattice import (
+    Mat2,
+    Vec2,
+    digit_expansion,
+    distinct_differences,
+    in_gl2_2z,
+    over_common_denominator,
+)
+from .mask import is_hadamard_triple, unity_sum_is_zero_ints
 from .moran import (
     CapExceeded,
     DEFAULT_POINT_CAP,
@@ -41,7 +46,6 @@ from .moran import (
     _float_point,
     _zero_scan,
     attractor_sums,
-    digit_expansion,
     fourier_many,
 )
 
@@ -115,7 +119,8 @@ def enumerate_tower(
     """
     if k < 1:
         raise ValueError("depth must be >= 1")
-    if 4**k > cap:
+    # 4^k has 2k + 1 bits, so a huge k is refused before 4^k is formed.
+    if 2 * k > cap.bit_length() or 4**k > cap:
         raise CapExceeded(f"4^{k} tower points exceed cap {cap}")
 
     def stages():
@@ -141,7 +146,7 @@ def build_lattice_spectrum(
     dividing by t2 transports it back to the unscaled measure.  As
     F_2 + 2 Z^2 = Z^2, it is the lattice M_1^* Z^2 / (2 t2).  Requires the
     divisibility criterion (verdict Spectral); otherwise OutOfTheoryError.
-    A negative box is a ValueError.
+    A negative box is a ValueError; CapExceeded comes at the (cap+1)-th point.
     """
     if box < 0:
         raise ValueError(f"box half-width must be >= 0, got {box}")
@@ -158,8 +163,7 @@ def build_lattice_spectrum(
     # of M1's entries.  n ranges over the preimage of the box, which the
     # preimages of the corners (+-limit, +-limit) of M n's box bound.
     m1t = m1.transpose()
-    e = math.lcm(*(Fraction(x).denominator for x in m1t.entries()))
-    a, b, c, d = (int(x * e) for x in m1t.entries())
+    (a, b, c, d), e = over_common_denominator(m1t.entries())
     den = 2 * e * abs(t2)
     limit = box * den
     corners = [m1t.inverse().apply((limit, sy * limit)) for sy in (1, -1)]
@@ -172,8 +176,8 @@ def build_lattice_spectrum(
             y = c * n1 + d * n2
             if abs(x) <= limit and abs(y) <= limit:
                 ints.append((x, y))
-    if len(ints) > cap:
-        raise CapExceeded(f"{len(ints)} lattice points exceed cap {cap}")
+                if len(ints) > cap:
+                    raise CapExceeded(f"lattice box {box} holds more than cap {cap} points")
     # den > 0, so sorting the numerators sorts the points.
     return [(Fraction(x, den), Fraction(y, den)) for x, y in sorted(ints)]
 
@@ -189,29 +193,6 @@ class OrthogonalityResult:
         return self.ok
 
 
-def _distinct_differences(ints: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int, int]]:
-    """The distinct sign-canonical differences of integer points, in order of
-    first appearance along the pair walk (i < j, row by row).
-
-    Yields (i, dx, dy) with (dx, dy) = +-(p_i - p_j), signed so that dx > 0
-    or dx == 0 <= dy, for the first pair (i, j) that has it.  Each point is
-    one int z = x K + y with odd K > 4 max|y|, so z_i - z_j has the sign of
-    (dx, dy) in lexicographic order and decodes by divmod.  A C-level filter
-    drops the differences seen before (both signs are recorded), so Python
-    code runs once per distinct difference, not once per pair.
-    """
-    k = 4 * max((abs(y) for _, y in ints), default=0) + 1
-    half = k // 2
-    zs = [x * k + y for x, y in ints]
-    seen: set[int] = set()
-    for i, zi in enumerate(zs):
-        for d in filterfalse(seen.__contains__, map(sub, repeat(zi), zs[i + 1:])):
-            seen.add(d)
-            seen.add(-d)
-            dx, dy = divmod(abs(d) + half, k)
-            yield i, dx, dy - half
-
-
 def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> OrthogonalityResult:
     """Certify that every difference of distinct points lies in the zero set.
 
@@ -223,7 +204,7 @@ def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> Orthogonal
     result is that of the pair walk: the first failing pair in enumeration
     order, the pairs walked up to it, and the distinct differences met.
     """
-    ints, q = digit_expansion([[rational_vec(p) for p in points]])
+    ints, q = digit_expansion([points])
     if len(set(ints)) != len(ints):
         raise ValueError("candidate spectrum has repeated points")
     n = len(ints)
@@ -232,7 +213,7 @@ def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> Orthogonal
         return OrthogonalityResult(True, None, 0, 0)
     ana = _analysis(sys)
     distinct = 0
-    for i, dx, dy in _distinct_differences(ints):
+    for i, dx, dy in distinct_differences(ints):
         distinct += 1
         if _zero_scan(ana, dx, dy, q) is None:
             xi, yi = ints[i]
@@ -338,13 +319,15 @@ def discrete_spectrum_oracle(
     exactly via vanishing sums of unit roots on every off-diagonal inner
     product.
     """
-    if n < 1 or n > cap:
+    if n < 1:
+        raise ValueError(f"oracle level must be >= 1, got {n}")
+    if n > cap:
         raise CapExceeded(f"oracle level {n} outside 1..{cap}")
     atoms_i, qa = attractor_sums(sys, n)
     size = len(atoms_i)
     if len(set(atoms_i)) != size:
         raise ValueError("level-n convolution atoms collide; weights would merge")
-    pts_i, ql = digit_expansion([[rational_vec(p) for p in candidate]])
+    pts_i, ql = digit_expansion([candidate])
     if len(pts_i) != size:
         raise ValueError(f"candidate has {len(pts_i)} points, expected {size}")
 
@@ -360,7 +343,7 @@ def discrete_spectrum_oracle(
     q = qa * ql
     exact_ok = all(
         unity_sum_is_zero_ints((ax * dx + ay * dy for ax, ay in atoms_i), q)
-        for _, dx, dy in _distinct_differences(pts_i)
+        for _, dx, dy in distinct_differences(pts_i)
     )
 
     return OracleReport(

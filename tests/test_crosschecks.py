@@ -75,44 +75,93 @@ def _numeric_hadamard_residual(m, digits, companions):
     for d in digits.points():
         base = minv @ np.array(d, float)
         rows.append([
-            cmath.exp(2j * math.pi * (base[0] * float(l[0]) + base[1] * float(l[1])))
-            for l in companions
+            cmath.exp(2j * math.pi * (base[0] * lx + base[1] * ly))
+            for lx, ly in ((float(Fraction(x)), float(Fraction(y))) for x, y in companions)
         ])
     h = np.array(rows) / math.sqrt(len(digits))
     return float(np.abs(h.conj().T @ h - np.eye(len(digits))).max())
 
 
-def test_hadamard_agrees_with_numeric_unitarity():
-    rng = random.Random(77)
-    tested_true = tested_false = 0
-    while tested_true < 40 or tested_false < 40:
-        m = Mat2(*(rng.randint(-5, 5) for _ in range(4)))
-        if not is_expanding(m):
-            continue
+def _random_structured(rng):
+    while True:
         try:
-            d = StructuredDigitSet(
+            return StructuredDigitSet(
                 (rng.randint(-3, 3), rng.randint(-3, 3)),
                 (rng.randint(-3, 3), rng.randint(-3, 3)),
             )
         except ValueError:
             continue
+
+
+def _random_expanding(rng):
+    while True:
+        m = Mat2(*(rng.randint(-5, 5) for _ in range(4)))
+        if is_expanding(m):
+            return m
+
+
+F2_VECS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _hadamard_case(rng, generic, integral):
+    """A random (M, D, L): M an integer matrix, or a non-integral level of a
+    `reduce_canonical` system (digits D0); D structured, or a generic copy of
+    it (reordered, sometimes translated, which keeps the zero set), so the
+    unit-root kernel decides; L the half lattice (1/2) M^* F_2 (Hadamard for
+    every structured D), a copy with one point moved, or random points, with
+    coordinates as int, Fraction or str."""
+    if integral:
+        m, d = _random_expanding(rng), _random_structured(rng)
+    else:
+        levels = ((_random_expanding(rng), _random_structured(rng)) for _ in range(2))
+        red = reduce_canonical(MoranSystem((next(levels),), (next(levels),)))
+        m, d = red.level(rng.choice((1, 2)))
+        if m.is_integral():
+            return None
+    if generic:
+        pts = list(d.points())
+        rng.shuffle(pts)
         if rng.random() < 0.5:
-            mt = m.transpose()
-            companions = [
-                tuple(Fraction(c, 2) for c in mt.apply(v))
-                for v in ((0, 0), (1, 0), (0, 1), (1, 1))
-            ]
-        else:
-            companions = [(0, 0)] + [
-                (rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3)
-            ]
-            if len({tuple(map(Fraction, c)) for c in companions}) != 4:
-                continue
-        exact = is_hadamard_triple(m, d, companions)
-        residual = _numeric_hadamard_residual(m, d, companions)
-        assert exact == (residual < 1e-9), (m, d, companions, residual)
-        tested_true += exact
-        tested_false += not exact
+            vx, vy = rng.randint(-3, 3), rng.randint(-3, 3)
+            pts = [(x + vx, y + vy) for x, y in pts]
+        d = GenericDigitSet(tuple(pts))
+    mt = m.transpose()
+    companions = [tuple(Fraction(c) / 2 for c in mt.apply(v)) for v in F2_VECS]
+    roll = rng.random()
+    if roll < 0.3:
+        i = rng.randrange(4)
+        shift = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3), 2))
+        companions[i] = (companions[i][0] + shift[0], companions[i][1] + shift[1])
+    elif roll < 0.55:
+        companions = [(0, 0)] + [
+            (Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(-4, 4)) for _ in range(3)
+        ]
+    if len({tuple(map(Fraction, c)) for c in companions}) != 4:
+        return None
+    if rng.random() < 0.3:
+        companions = [tuple(str(c) for c in p) for p in companions]
+    return m, d, companions
+
+
+def test_hadamard_agrees_with_numeric_unitarity():
+    """At least 40 Hadamard and 40 non-Hadamard triples per kind: integer or
+    non-integral M, structured digits or a generic copy of them."""
+    rng = random.Random(77)
+    for generic in (False, True):
+        for integral in (True, False):
+            tested_true = tested_false = 0
+            while tested_true < 40 or tested_false < 40:
+                case = _hadamard_case(rng, generic, integral)
+                if case is None:
+                    continue
+                m, d, companions = case
+                assert m.is_integral() == integral
+                assert isinstance(d, GenericDigitSet) == generic
+                exact = is_hadamard_triple(m, d, companions)
+                residual = _numeric_hadamard_residual(m, d, companions)
+                assert exact == (residual < 1e-9), (m, d, companions, residual)
+                tested_true += exact
+                tested_false += not exact
 
 
 def test_mixed_period_system_end_to_end():

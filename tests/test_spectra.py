@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,16 @@ SYS2 = MoranSystem.constant(I2, D0)
 SYS4 = MoranSystem.constant(I4, D0)
 
 F2 = [(Fraction(i), Fraction(j)) for i in (0, 1) for j in (0, 1)]
+
+
+def _peak_bytes(f):
+    """Run f under tracemalloc and return the peak of traced allocations."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _fraction_tower(tower, k):
@@ -143,6 +154,24 @@ class TestEnumerate:
         with pytest.raises(CapExceeded):
             enumerate_tower(tower, 3, cap=10)
 
+    def test_huge_depth_refused_without_forming_4_to_the_k(self):
+        """4^(10^8) would be a 2 * 10^8-bit integer (25 MB)."""
+        tower = build_tower(SYS2)
+
+        def refuse():
+            with pytest.raises(CapExceeded, match=r"4\^100000000 tower points exceed cap 65536"):
+                enumerate_tower(tower, 10**8)
+
+        assert _peak_bytes(refuse) < 1_000_000
+        # The bit-length shortcut agrees with 4^k > cap at the boundary.
+        for cap in (4**5 - 1, 4**5, 4**5 + 1, 2 * 4**5):
+            for k in range(1, 8):
+                if 4**k > cap:
+                    with pytest.raises(CapExceeded):
+                        enumerate_tower(tower, k, cap=cap)
+                else:
+                    assert len(enumerate_tower(tower, k, cap=cap)) == 4**k
+
 
 class TestLatticeSpectrum:
     def test_2i_gives_integer_lattice(self):
@@ -195,6 +224,18 @@ class TestLatticeSpectrum:
             got = build_lattice_spectrum(sysm, box)
             assert got == _fraction_lattice(sysm, box), box
             assert all(type(c) is Fraction for p in got for c in p)
+
+    def test_cap_refuses_before_building_the_box(self):
+        """Box 500 holds 1,002,001 points; the refusal comes at the 65,537th."""
+
+        def refuse():
+            with pytest.raises(CapExceeded, match="lattice box 500 holds more than cap 65536"):
+                build_lattice_spectrum(SYS2, 500)
+
+        assert _peak_bytes(refuse) < 20_000_000
+        assert len(build_lattice_spectrum(SYS2, 3, cap=49)) == 49
+        with pytest.raises(CapExceeded, match="lattice box 3 holds more than cap 48"):
+            build_lattice_spectrum(SYS2, 3, cap=48)
 
     def test_out_of_theory_when_divisibility_fails(self):
         sysm = MoranSystem(((I2, scaled_canonical(3)),), ((I2, scaled_canonical(9)),))
@@ -306,6 +347,11 @@ class TestOracle:
     def test_level_cap(self):
         with pytest.raises(CapExceeded):
             discrete_spectrum_oracle(SYS2, 5, [(0, 0)] * 4**5)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_level_below_one_is_invalid_input(self, n):
+        with pytest.raises(ValueError, match="oracle level must be >= 1"):
+            discrete_spectrum_oracle(SYS2, n, F2)
 
     def test_exact_check_reduces_the_common_denominator(self):
         """One shifted point puts the atom-times-candidate denominator at
