@@ -7,13 +7,10 @@ spectrality classifiers for eventually periodic systems.
 
 from .lattice import (
     Mat2,
-    ResidueSet,
-    det,
     in_gl2_2z,
     inverse_norm_below_one,
     is_expanding,
     mat_product,
-    residue_set,
 )
 from .digitsets import (
     DigitCollision,
@@ -24,17 +21,12 @@ from .digitsets import (
     canonical_digits,
     scaled_canonical,
     sum_set,
-    validate_structured,
 )
 from .mask import (
     CardinalityMismatch,
     SingularMatrix,
-    UnityRootSum,
     eval_mask,
     is_hadamard_triple,
-    mask_zero_exact,
-    mask_zero_exact_generic,
-    unity_sum_is_zero,
 )
 from .moran import (
     CapExceeded,
@@ -46,7 +38,6 @@ from .moran import (
     ValidationReport,
     ZeroCertificate,
     attractor_points,
-    canonical_representation,
     conjugate_system,
     fourier,
     fourier_many,

@@ -4,8 +4,9 @@ spectrum | oracle | emit.
 Every subcommand reads a declarative config file (see `config`), prints a
 human-readable report followed by a machine-readable JSON block, and exits
 with: 0 success, 1 NotSpectral under --check, 2 invalid input, 3 parse
-error, 4 resource cap exceeded.  The JSON block is deterministic for fixed
-config and flags (runtime is reported only in the human footer).
+error or output that cannot be written (a closed stdout too), 4 resource
+cap exceeded.  The JSON block is deterministic for fixed config and flags
+(runtime is reported only in the human footer).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -375,7 +377,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     report.runtime_s = time.perf_counter() - start
-    print(report.render())
+    try:
+        print(report.render(), flush=True)
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the interpreter's
+        # final flush cannot raise again (see the `signal` docs on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("output error: stdout is closed", file=sys.stderr)
+        return EXIT_PARSE
     return code
 
 

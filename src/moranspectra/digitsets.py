@@ -115,11 +115,6 @@ def scaled_canonical(t: int) -> StructuredDigitSet:
     return StructuredDigitSet((t, 0), (0, t))
 
 
-def validate_structured(alpha, beta) -> StructuredDigitSet:
-    """Construct a structured set, raising OddityViolation / Degenerate."""
-    return StructuredDigitSet(tuple(alpha), tuple(beta))
-
-
 def sum_set(d1: DigitSet, d2: DigitSet) -> GenericDigitSet:
     """Pointwise sumset {a + b}; rejects collisions instead of collapsing them.
 

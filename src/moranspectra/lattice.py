@@ -81,9 +81,6 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def scale(self, t: Scalar) -> "Mat2":
-        return Mat2(self.a * t, self.b * t, self.c * t, self.d * t)
-
     def apply(self, v: Vec2) -> Vec2:
         x, y = v
         return (self.a * x + self.b * y, self.c * x + self.d * y)
@@ -102,11 +99,6 @@ class Mat2:
 
     def as_float_rows(self) -> list[list[float]]:
         return [[float(self.a), float(self.b)], [float(self.c), float(self.d)]]
-
-
-def det(m: Mat2) -> Scalar:
-    """Exact determinant."""
-    return m.det()
 
 
 def mat_product(matrices: Iterable[Mat2]) -> Mat2:
@@ -167,35 +159,6 @@ def inverse_norm_below_one(m: Mat2) -> bool:
     s, det_gram = gram_trace_det(m)
     q1 = 1 - s + det_gram
     return q1 > 0 and s > 2
-
-
-@dataclass(frozen=True)
-class ResidueSet:
-    """The n^2 representatives F_n = {0,...,n-1}^2 of Z^2 / n Z^2."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"residue set needs n >= 2, got {self.n}")
-
-    def vectors(self) -> list[Vec2]:
-        return [(i, j) for j in range(self.n) for i in range(self.n)]
-
-    def punctured(self) -> list[Vec2]:
-        """F_n with the origin removed (n^2 - 1 vectors)."""
-        return [v for v in self.vectors() if v != (0, 0)]
-
-    def __len__(self) -> int:
-        return self.n * self.n
-
-    def __contains__(self, v: Vec2) -> bool:
-        return all(isinstance(x, int) and 0 <= x < self.n for x in v)
-
-
-def residue_set(n: int) -> ResidueSet:
-    """F_n = {(l1, l2): l_i in {0..n-1}}, the standard complete residue grid."""
-    return ResidueSet(n)
 
 
 # --- exact point sets ----------------------------------------------------
@@ -265,41 +228,23 @@ def distinct_differences(ints: Sequence[tuple[int, int]]) -> Iterator[tuple[int,
 PI_UPPER = Fraction(355, 113)  # 355/113 > pi
 
 
-def _sqrt_scaled(x: Fraction) -> tuple[int, int, int]:
-    """(floor_sqrt, scaled_value, scale) with scale = q * 2^m chosen so the
-    integer square root carries at least 12 significant digits."""
-    p, q = x.numerator, x.denominator
-    n = p * q
-    m = 0
+def sqrt_upper(x: Scalar) -> Fraction:
+    """A rational r with r >= sqrt(x) >= 0, within relative 1e-12 of it.
+
+    sqrt(p/q) = sqrt(p q 4^m) / (q 2^m), with m chosen so the integer square
+    root carries at least 12 significant digits."""
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("negative input")
+    if x == 0:
+        return Fraction(0)
+    n, scale = x.numerator * x.denominator, x.denominator
     target_bits = 81  # 10^24 < 2^81
     if n.bit_length() < target_bits:
         m = (target_bits - n.bit_length() + 1) // 2
-        n <<= 2 * m
-    return math.isqrt(n), n, q << m
-
-
-def sqrt_upper(x: Scalar) -> Fraction:
-    """A rational r with r >= sqrt(x) >= 0, within relative 1e-12 of it."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative input")
-    if x == 0:
-        return Fraction(0)
-    s, n, scale = _sqrt_scaled(x)
-    if s * s == n:
-        return Fraction(s, scale)
-    return Fraction(s + 1, scale)
-
-
-def sqrt_lower(x: Scalar) -> Fraction:
-    """A rational r with 0 <= r <= sqrt(x), within relative 1e-12 of it."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative input")
-    if x == 0:
-        return Fraction(0)
-    s, _, scale = _sqrt_scaled(x)
-    return Fraction(s, scale)
+        n, scale = n << 2 * m, scale << m
+    s = math.isqrt(n)
+    return Fraction(s if s * s == n else s + 1, scale)
 
 
 def operator_norm_upper(m: Mat2) -> Fraction:

@@ -12,6 +12,9 @@ place that picks a digit set's kernel:
 * arbitrary finite sets reduce to "does a sum of rational-exponent roots of
   unity vanish", decided by one sparse recursion (`_vanishes`) that splits
   the sum over the prime factors of its reduced common denominator.
+
+`digit_mask_zero` is the one edge that takes a rational point: it scales
+xi to integer numerators over one denominator and asks the kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -119,51 +121,13 @@ def _vanishes(terms: dict[int, int], q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class UnityRootSum:
-    """A formal sum  sum_k  c_k * exp(2 pi i x_k)  with rational x_k mod 1."""
-
-    counts: tuple[tuple[Fraction, int], ...]
-
-    @staticmethod
-    def from_exponents(exponents: Iterable) -> "UnityRootSum":
-        counts: dict[Fraction, int] = {}
-        for e in exponents:
-            f = Fraction(e) % 1
-            counts[f] = counts.get(f, 0) + 1
-        return UnityRootSum(tuple(sorted(counts.items())))
-
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
-    def value(self) -> complex:
-        return sum(c * cmath.exp(1j * TWO_PI * float(e)) for e, c in self.counts)
-
-    def is_zero(self) -> bool:
-        nums, q = over_common_denominator(e for e, _ in self.counts)
-        return _vanishes({k % q: c for k, (_, c) in zip(nums, self.counts)}, q)
-
-
-def unity_sum_is_zero(exponents: Iterable) -> bool:
-    """Exact verdict on whether sum_k exp(2 pi i x_k) vanishes."""
-    return UnityRootSum.from_exponents(exponents).is_zero()
-
-
 def unity_sum_is_zero_ints(numerators: Iterable[int], q: int) -> bool:
-    """Exact vanishing of sum_k exp(2 pi i n_k / q) from integer numerators.
-
-    Same verdict as `unity_sum_is_zero` on fractions n_k/q; skips Fraction
-    construction for hot loops (the discrete spectral-pair oracle).
-    """
+    """Exact vanishing of sum_k exp(2 pi i n_k / q) from integer numerators;
+    numerators congruent mod q add their counts."""
     return _vanishes(Counter(k % q for k in numerators), q)
 
 
 # --- exact mask zero tests -------------------------------------------------
-
-
-def _integer_point(xi) -> tuple[int, int, int]:
-    (nx, ny), den = over_common_denominator(xi)
-    return nx, ny, den
 
 
 def structured_zero_ints(digits: StructuredDigitSet, nx: int, ny: int, den: int) -> bool:
@@ -179,20 +143,10 @@ def structured_zero_ints(digits: StructuredDigitSet, nx: int, ny: int, den: int)
     return (u // den) % 2 == 1 or (v // den) % 2 == 1
 
 
-def mask_zero_exact(digits: StructuredDigitSet, xi) -> bool:
-    """`structured_zero_ints` at a rational point."""
-    return structured_zero_ints(digits, *_integer_point(xi))
-
-
 def generic_zero_ints(digits: DigitSet, nx: int, ny: int, den: int) -> bool:
     """Exact zero test for any finite digit set at xi = (nx, ny) / den,
     den > 0: the unit-root sum of the numerators dx nx + dy ny over den."""
     return unity_sum_is_zero_ints((dx * nx + dy * ny for dx, dy in digits.points()), den)
-
-
-def mask_zero_exact_generic(digits: DigitSet, xi) -> bool:
-    """`generic_zero_ints` at a rational point."""
-    return generic_zero_ints(digits, *_integer_point(xi))
 
 
 def zero_kernel(digits: DigitSet) -> Callable[[int, int, int], bool]:
@@ -217,7 +171,8 @@ def zero_norm_floor(digits: DigitSet) -> Fraction:
 
 def digit_mask_zero(digits: DigitSet, xi) -> bool:
     """Exact m_D(xi) = 0 at a rational point, by the digit set's kernel."""
-    return zero_kernel(digits)(*_integer_point(xi))
+    (nx, ny), den = over_common_denominator(xi)
+    return zero_kernel(digits)(nx, ny, den)
 
 
 def is_hadamard_triple(m: Mat2, digits: DigitSet, companions: Sequence[Vec2]) -> bool:

@@ -163,9 +163,6 @@ class MoranSystem(EventuallyPeriodic[Level]):
         return tuple(m for m, _ in self.distinct())
 
 
-canonical_representation = MoranSystem.canonical
-
-
 def conjugate_system(sys: MoranSystem, q: Mat2) -> MoranSystem:
     """The similar system (Q M_n Q^{-1}, Q D_n) for unimodular integer Q."""
     if not q.is_integral() or abs(q.det()) != 1:

@@ -30,8 +30,14 @@ from moranspectra.digitsets import (
     scaled_canonical,
     sum_set,
 )
-from moranspectra.lattice import Mat2, residue_set
-from moranspectra.mask import eval_mask, is_hadamard_triple, mask_zero_exact, partition_of_unity_residual
+from moranspectra.lattice import Mat2
+from moranspectra.mask import (
+    digit_mask_zero,
+    eval_mask,
+    generic_zero_ints,
+    is_hadamard_triple,
+    partition_of_unity_residual,
+)
 from moranspectra.moran import (
     MoranSystem,
     TWord,
@@ -55,6 +61,7 @@ I2, I3, I4 = Mat2.scalar(2), Mat2.scalar(3), Mat2.scalar(4)
 SYS2 = MoranSystem.constant(I2, D0)
 SYS4 = MoranSystem.constant(I4, D0)
 F2 = [(i, j) for i in (0, 1) for j in (0, 1)]
+F4 = [(i, j) for j in range(4) for i in range(4)]
 
 
 def d_plus_6d():
@@ -70,7 +77,7 @@ def report(num, budget_s, started, ok, desc):
 
 def test_criterion_01_hadamard_fixtures():
     t0 = time.perf_counter()
-    l_big = [(3 * x, 3 * y) for x, y in residue_set(4).vectors()]
+    l_big = [(3 * x, 3 * y) for x, y in F4]
     ok = is_hadamard_triple(I2, D0, F2) and is_hadamard_triple(
         Mat2.scalar(12), d_plus_6d(), l_big
     )
@@ -84,17 +91,17 @@ def test_criterion_02_zero_set_identity_exhaustive():
         for a in range(q):
             for b in range(q):
                 xi = (Fraction(a, q), Fraction(b, q))
-                exact = mask_zero_exact(D0, xi)
+                exact = digit_mask_zero(D0, xi)
                 numeric = abs(eval_mask(D0, xi)) < 1e-10
-                if exact != numeric:
+                if exact != numeric or exact != generic_zero_ints(D0, a, b, q):
                     ok = False
-    report(2, 5.0, t0, ok, "exact zero set == |mask| < 1e-10 for all q <= 24 rationals")
+    report(2, 5.0, t0, ok, "closed form == unit-root sum == |mask| < 1e-10 at every q <= 24")
 
 
 def test_criterion_03_partition_of_unity():
     t0 = time.perf_counter()
     d6 = d_plus_6d()
-    l_big = [(3 * x, 3 * y) for x, y in residue_set(4).vectors()]
+    l_big = [(3 * x, 3 * y) for x, y in F4]
     worst = 0.0
     for i in range(50):
         for j in range(50):
@@ -109,7 +116,7 @@ def test_criterion_04_closed_form_zero_set():
     ok = True
     for mbar in (Mat2.identity(), Mat2(1, 1, 0, 1), Mat2(0, -1, 1, 0)):
         for t in (1, 3, 5):
-            sysm = MoranSystem.constant(mbar.scale(2), scaled_canonical(t))
+            sysm = MoranSystem.constant(Mat2.scalar(2) * mbar, scaled_canonical(t))
             for k1 in range(-6, 7):
                 for k2 in range(-6, 7):
                     xi = (Fraction(k1, t), Fraction(k2, t))

@@ -21,10 +21,10 @@ from moranspectra.classify import (
 )
 from moranspectra.digitsets import (
     GenericDigitSet,
+    StructuredDigitSet,
     canonical_digits,
     scaled_canonical,
     sum_set,
-    validate_structured,
 )
 from moranspectra.lattice import Mat2
 from moranspectra.moran import MoranSystem, TWord, conjugate_system
@@ -332,7 +332,7 @@ HYPOTHESIS_DETAILS = [
      "T1.1: matrix [[4, 0], [0, 1]] is not expanding"),
     ("C5.1 det", classify, (cor51_system(m2=I4),),
      f"{T14_NOTE}; T1.5: |det [[4, 0], [0, 4]]| = 16 is not 4; {T11_NOTHING}"),
-    ("C5.1 scaled", classify, (cor51_system(d2=validate_structured((1, 2), (0, 1))),),
+    ("C5.1 scaled", classify, (cor51_system(d2=StructuredDigitSet((1, 2), (0, 1))),),
      f"{T14_NOTE}; T1.5: digit sets are not all scales of the canonical set; {T11_NOTHING}"),
 ]
 
@@ -346,7 +346,7 @@ def test_hypothesis_failure_details(rule, args, detail):
 def test_cor51_hypothesis_failures_defer():
     assert cor51_verdict(cor51_system()).rule == "C5.1"
     for sysm in (cor51_system(m2=NOT_EXPANDING), cor51_system(m2=I4),
-                 cor51_system(d2=validate_structured((1, 2), (0, 1)))):
+                 cor51_system(d2=StructuredDigitSet((1, 2), (0, 1)))):
         assert cor51_verdict(sysm) is None
 
 
@@ -384,7 +384,7 @@ E, G, N = "is_expanding", "in_gl2_2z", "inverse_norm_below_one"
         (classify_thm15, (TWORD_3, [I2, NORM_AT_LEAST_ONE]), [E, G, N, E, G, N]),
         (classify_thm16, (I2, I2, 3, 1), [E, E, G]),
         (cor51_verdict, (cor51_system(),), [E, E, E]),
-        (cor51_verdict, (cor51_system(d2=validate_structured((1, 2), (0, 1))),), [E]),
+        (cor51_verdict, (cor51_system(d2=StructuredDigitSet((1, 2), (0, 1))),), [E]),
     ],
 )
 def test_predicate_call_order(predicate_calls, rule, args, expected):

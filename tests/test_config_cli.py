@@ -3,12 +3,16 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moranspectra
 from moranspectra.cli import build_parser, main
 from moranspectra.config import (
     ConfigError,
@@ -160,6 +164,25 @@ class TestExitCodes:
         assert main(["emit", write(tmp_path, CONST_2I), "--depth", "9", "--grid", "2",
                      "--out", str(outdir), "--cap", "100"]) == 4
         assert not outdir.exists()
+
+    def test_closed_stdout_exit_3(self, tmp_path):
+        """A reader that is gone before the report is written: exit 3 and one
+        stderr line, with no BrokenPipeError traceback at write or exit."""
+        src = str(Path(moranspectra.__file__).parents[1])
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "moranspectra", "spectrum", write(tmp_path, CONST_2I),
+                 "--kind", "tower", "--depth", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert proc.stderr.startswith("output error")
 
     def test_hadamard_mismatch_exit_2(self, tmp_path):
         bad = HADAMARD_OK.replace(" 1,1", "")

@@ -13,7 +13,6 @@ from moranspectra.digitsets import (
     scaled_canonical,
     scaled_t_of,
     sum_set,
-    validate_structured,
 )
 from moranspectra.lattice import Mat2
 
@@ -60,12 +59,12 @@ def test_sum_set_rejects_collisions():
 
 
 def test_validate_structured():
-    d = validate_structured((1, 2), (0, 1))
+    d = StructuredDigitSet((1, 2), (0, 1))
     assert d.p == 1  # determinant by hand: 1*1 - 2*0
     with pytest.raises(OddityViolation):
-        validate_structured((2, 0), (0, 2))
+        StructuredDigitSet((2, 0), (0, 2))
     with pytest.raises(Degenerate):
-        validate_structured((1, 1), (2, 2))
+        StructuredDigitSet((1, 1), (2, 2))
 
 
 def test_generic_rejects_duplicates_and_non_integers():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moranspectra.digitsets import canonical_digits, scaled_canonical, validate_structured
+from moranspectra.digitsets import StructuredDigitSet, canonical_digits, scaled_canonical
 from moranspectra.lattice import Mat2
 from moranspectra.mask import digit_mask_zero
 from moranspectra import moran
@@ -18,7 +18,6 @@ from moranspectra.moran import (
     OutOfTheoryError,
     TWord,
     attractor_points,
-    canonical_representation,
     conjugate_system,
     fourier,
     fourier_zero_exact,
@@ -82,7 +81,7 @@ class TestReduceCanonical:
         assert m3 == Mat2(Fraction(2), 0, 0, Fraction(2))
 
     def test_general_structured_digits(self):
-        d = validate_structured((1, 2), (0, 1))
+        d = StructuredDigitSet((1, 2), (0, 1))
         sysm = MoranSystem.constant(I4, d)
         red = reduce_canonical(sysm)
         # exact matrix inversion oracle: Q^{-1} via adjugate over det = 1
@@ -90,7 +89,7 @@ class TestReduceCanonical:
         qinv = Mat2(Fraction(1), Fraction(0), Fraction(-2), Fraction(1))
         prod = q * qinv
         assert (prod.a, prod.b, prod.c, prod.d) == (1, 0, 0, 1)
-        assert red.preperiod[0][0] == qinv.scale(4)
+        assert red.preperiod[0][0] == Mat2.scalar(4) * qinv
 
     def test_measure_is_unchanged(self):
         sysm = MoranSystem(((I2, scaled_canonical(9)),), ((I2, scaled_canonical(3)),))
@@ -170,7 +169,7 @@ class TestZeroCertificates:
         # constant (2 Mbar, t D0): certificate exactly when t*xi is a nonzero
         # integer vector
         for mbar in (Mat2.identity(), Mat2(1, 1, 0, 1), Mat2(0, -1, 1, 0)):
-            m = mbar.scale(2)
+            m = Mat2.scalar(2) * mbar
             for t in (1, 3):
                 sysm = MoranSystem.constant(m, scaled_canonical(t))
                 for k1 in range(-3, 4):
@@ -330,13 +329,13 @@ class TestAttractor:
 class TestRepresentation:
     def test_canonical_representation_absorbs(self):
         sysm = MoranSystem(((I2, D0),), ((I2, D0),))
-        crep = canonical_representation(sysm)
+        crep = sysm.canonical()
         assert crep.preperiod == ()
         assert len(crep.period) == 1
 
     def test_unrolled_period_is_primitive(self):
         sysm = MoranSystem((), ((I2, D0), (I2, D0)))
-        crep = canonical_representation(sysm)
+        crep = sysm.canonical()
         assert len(crep.period) == 1
 
     def test_level_accessor(self):
