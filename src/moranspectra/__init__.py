@@ -5,6 +5,8 @@ certified Fourier products, candidate spectra, and theorem-backed
 spectrality classifiers for eventually periodic systems.
 """
 
+from types import ModuleType as _ModuleType
+
 from .lattice import (
     Mat2,
     in_gl2_2z,
@@ -75,4 +77,5 @@ from .classify import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

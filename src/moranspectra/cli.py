@@ -65,10 +65,8 @@ class Report:
         if self.citations:
             lines.append("citations: " + ", ".join(self.citations))
         if self.truncation:
-            lines.append(
-                "truncation: "
-                + ", ".join(f"{k}={v}" for k, v in self.truncation.items())
-            )
+            pairs = ", ".join(f"{k}={v}" for k, v in self.truncation.items())
+            lines.append(f"truncation: {pairs}")
         block = {
             "command": self.command,
             "inputs": self.inputs,
@@ -80,10 +78,6 @@ class Report:
         lines.append(json.dumps(block, sort_keys=True, default=str))
         lines.append(f"(runtime {self.runtime_s:.3f}s)")
         return "\n".join(lines)
-
-
-def _read_config(path: str) -> SystemConfig:
-    return parse_config(Path(path).read_text())
 
 
 def _parse_xi(text: str) -> tuple:
@@ -189,6 +183,8 @@ def cmd_fourier(cfg: SystemConfig, args, report: Report) -> int:
 def cmd_spectrum(cfg: SystemConfig, args, report: Report) -> int:
     sys_ = cfg.system()
     xi = None if args.xi is None else _float_point(_parse_xi(args.xi))
+    if xi is not None:
+        fourier_many(sys_, (), args.eps)  # checks eps, as in `emit`, before any build
     if args.kind == "tower":
         tower = spectra.build_tower(sys_)
         points = spectra.enumerate_tower(tower, args.depth, cap=args.cap)
@@ -242,6 +238,7 @@ def cmd_spectrum(cfg: SystemConfig, args, report: Report) -> int:
 
 def cmd_oracle(cfg: SystemConfig, args, report: Report) -> int:
     sys_ = cfg.system()
+    spectra.check_oracle_level(args.level, args.oracle_cap)
     tower = spectra.build_tower(sys_)
     points = spectra.enumerate_tower(tower, args.level, cap=args.cap)
     rep = spectra.discrete_spectrum_oracle(sys_, args.level, points, cap=args.oracle_cap)
@@ -364,7 +361,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     report = Report(command=args.command, inputs={"config": args.config})
     start = time.perf_counter()
     try:
-        cfg = _read_config(args.config)
+        cfg = parse_config(Path(args.config).read_text())
         report.inputs["echo"] = format_config(cfg)
         code = _COMMANDS[args.command](cfg, args, report)
     except (ConfigError, OSError) as exc:

@@ -25,8 +25,8 @@ Two evaluation paths coexist:
                    levels and bound either way.
                    `fourier` walks one point in a scalar loop;
                    `fourier_many` steps blocks of points level by level in
-                   numpy, which pays off from about twenty points on (one
-                   point costs it some ten scalar evaluations);
+                   numpy (imported only there), which pays off from about
+                   twenty points on (one point costs some ten scalar evaluations);
 * `fourier_zero_exact` - exact scan of the orbit, carried as integer
                    numerators over one reduced denominator, that either
                    produces a level-j witness in Z(m_{D_j}) or proves no
@@ -44,8 +44,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, cycle, islice
 from typing import Callable, Generic, Iterable, Iterator, Optional, Sequence, TypeVar
-
-import numpy as np
 
 from .digitsets import DigitSet, scaled_by_matrix
 from .lattice import (
@@ -626,6 +624,8 @@ def fourier_many(sys: MoranSystem, xis: Iterable, eps: float) -> Iterator[Fourie
 
 
 def _fourier_blocks(ana: _Analysis, xis: Iterator, eps: float) -> Iterator[FourierResult]:
+    import numpy as np
+
     # Digit coordinates as (#D, 1) columns, broadcast against a block's orbit.
     fl = ana.float_levels
 

@@ -19,12 +19,12 @@ returns the truncated quadratic sum at a point with explicit tolerances.
 
 from __future__ import annotations
 
+import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .classify import SPECTRAL, classify_thm16, thm16_shape
 from .digitsets import StructuredDigitSet
@@ -36,7 +36,7 @@ from .lattice import (
     in_gl2_2z,
     over_common_denominator,
 )
-from .mask import is_hadamard_triple, unity_sum_is_zero_ints
+from .mask import TWO_PI, _vanishes, is_hadamard_triple
 from .moran import (
     CapExceeded,
     DEFAULT_POINT_CAP,
@@ -279,13 +279,12 @@ def completeness_report(
     final_q: list[float] = []
     for xi in xs:
         prev = -1.0
-        for idx, pts in enumerate(nested_sets):
+        for pts in nested_sets:
             q = completeness_sum(sys, pts, xi, eps)
             if q < prev - 1e-9:
                 monotone = False
             prev = q
-            if idx == len(nested_sets) - 1:
-                final_q.append(q)
+        final_q.append(prev)
     return CompletenessReport(
         samples=tuple(xs),
         q_values=tuple(final_q),
@@ -304,6 +303,14 @@ class OracleReport:
         return self.unitary
 
 
+def check_oracle_level(n: int, cap: int) -> None:
+    """ValueError for an oracle level below 1, CapExceeded above cap."""
+    if n < 1:
+        raise ValueError(f"oracle level must be >= 1, got {n}")
+    if n > cap:
+        raise CapExceeded(f"oracle level {n} outside 1..{cap}")
+
+
 def discrete_spectrum_oracle(
     sys: MoranSystem,
     n: int,
@@ -312,15 +319,14 @@ def discrete_spectrum_oracle(
 ) -> OracleReport:
     """Brute-force spectral-pair check at level n.
 
-    Builds the normalized exponential matrix between the 4^n atoms of the
-    level-n finite convolution and the candidate points.  Unitarity is
-    decided exactly, by vanishing sums of unit roots on every off-diagonal
-    inner product; the float residual max |H*H - I| is only reported.
+    H is the normalized exponential matrix between the 4^n level-n atoms a
+    and the candidates.  An entry of H*H is (1/size) sum_a e(a . d) for the
+    difference d of its two candidates.  For each distinct sign-canonical d,
+    the counts of a . d mod q, over one common denominator q, decide exactly
+    whether the entry vanishes (`unitary`) and give its modulus; `residual`,
+    the largest off-diagonal |H*H| entry, is only reported.
     """
-    if n < 1:
-        raise ValueError(f"oracle level must be >= 1, got {n}")
-    if n > cap:
-        raise CapExceeded(f"oracle level {n} outside 1..{cap}")
+    check_oracle_level(n, cap)
     atoms_i, qa = attractor_sums(sys, n)
     size = len(atoms_i)
     if len(set(atoms_i)) != size:
@@ -328,23 +334,17 @@ def discrete_spectrum_oracle(
     pts_i, ql = digit_expansion([candidate])
     if len(pts_i) != size:
         raise ValueError(f"candidate has {len(pts_i)} points, expected {size}")
-
-    a = np.array([[x / qa, y / qa] for x, y in atoms_i])
-    lam = np.array([[x / ql, y / ql] for x, y in pts_i])
-    h = np.exp(2j * np.pi * (a @ lam.T)) / math.sqrt(size)
-    residual = float(np.abs(h.conj().T @ h - np.eye(size)).max())
-
-    # Exact off-diagonal vanishing over a common denominator.  An inner
-    # product depends only on the difference of its two candidate points and
-    # vanishes together with its conjugate, so each distinct sign-canonical
-    # difference is tested once.
     q = qa * ql
-    exact_ok = all(
-        unity_sum_is_zero_ints((ax * dx + ay * dy for ax, ay in atoms_i), q)
-        for _, dx, dy in distinct_differences(pts_i)
-    )
-
-    return OracleReport(
-        unitary=exact_ok,
-        residual=residual,
-    )
+    unitary, largest, roots = True, 0.0, {}
+    for _, dx, dy in distinct_differences(pts_i):
+        counts = Counter((ax * dx + ay * dy) % q for ax, ay in atoms_i)
+        unitary = unitary and _vanishes(counts, q)
+        if len(roots) > 4 * size:  # bounds the unit-root cache for any q
+            roots.clear()
+        total = 0j
+        for k, c in counts.items():
+            if k not in roots:
+                roots[k] = cmath.rect(1.0, TWO_PI * k / q)
+            total += c * roots[k]
+        largest = max(largest, abs(total))
+    return OracleReport(unitary=unitary, residual=largest / size)

@@ -184,6 +184,32 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
         assert proc.stderr.startswith("output error")
 
+    def test_numpy_loads_only_for_fourier_points(self, tmp_path):
+        """Only `fourier_many` evaluating points imports numpy; the other
+        commands run in a process that never loads it."""
+        src = str(Path(moranspectra.__file__).parents[1])
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        cfg = write(tmp_path, CONST_2I + HADAMARD_OK)
+        child = f"""
+import contextlib, io, sys
+import moranspectra
+from moranspectra.cli import main
+runs = [["validate"], ["classify"], ["zero", "--xi=1/2,0"], ["hadamard"],
+        ["fourier", "--xi=0.3,0.7"], ["oracle", "--level", "2"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([cmd, {cfg!r}, *rest]) for cmd, *rest in runs]
+assert codes == [0] * len(runs), codes
+assert "numpy" not in sys.modules
+sys_ = moranspectra.MoranSystem.constant(moranspectra.Mat2(2, 0, 0, 2),
+                                         moranspectra.canonical_digits())
+list(moranspectra.fourier_many(sys_, [(0.3, 0.7)], 1e-8))
+assert "numpy" in sys.modules
+"""
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_hadamard_mismatch_exit_2(self, tmp_path):
         bad = HADAMARD_OK.replace(" 1,1", "")
         assert main(["hadamard", write(tmp_path, bad)]) == 2
@@ -210,8 +236,18 @@ class TestExitCodes:
         assert main(["fourier", path, "--xi", "0.3,0.7"]) == 4
         assert "hard cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("xi", ["nan,0", "0.3,x", "1e400,0"])
-    def test_spectrum_rejects_bad_xi_before_building(self, tmp_path, monkeypatch, capsys, xi):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(["--xi=nan,0"], id="nan,0"),
+            pytest.param(["--xi=0.3,x"], id="0.3,x"),
+            pytest.param(["--xi=1e400,0"], id="1e400,0"),
+            pytest.param(["--xi=0.3,0.7", "--eps", "0"], id="eps 0"),
+            pytest.param(["--xi=0.3,0.7", "--eps", "-1"], id="eps -1"),
+            pytest.param(["--xi=0.3,0.7", "--eps", "nan"], id="eps nan"),
+        ],
+    )
+    def test_spectrum_rejects_bad_xi_before_building(self, tmp_path, monkeypatch, capsys, flags):
         from moranspectra import spectra
 
         def late(*_):
@@ -219,8 +255,20 @@ class TestExitCodes:
 
         monkeypatch.setattr(spectra, "verify_orthogonality", late)
         assert main(["spectrum", write(tmp_path, CONST_2I), "--kind", "lattice",
-                     "--box", "32", f"--xi={xi}"]) == 2
+                     "--box", "32", *flags]) == 2
         assert "invalid input" in capsys.readouterr().err
+
+    def test_oracle_refuses_level_before_enumerating(self, tmp_path, monkeypatch, capsys):
+        from moranspectra import spectra
+
+        def late(*_, **__):
+            raise AssertionError("--level checked after the tower was enumerated")
+
+        monkeypatch.setattr(spectra, "enumerate_tower", late)
+        assert main(["oracle", write(tmp_path, CONST_2I), "--level", "8"]) == 4
+        assert "oracle level 8 outside 1..4" in capsys.readouterr().err
+        assert main(["oracle", write(tmp_path, CONST_2I), "--level", "0"]) == 2
+        assert "oracle level must be >= 1" in capsys.readouterr().err
 
     def test_zero_decides_large_generic_denominator(self, tmp_path, capsys):
         # q = 1,200,036 at level 1: refused (exit 2) while the dense Phi_q

@@ -373,9 +373,8 @@ def _reference_orthogonality(sysm, points):
     return OrthogonalityResult(True, None, pairs, len(memo))
 
 
-def _reference_oracle_exact(sysm, n, candidate):
-    """Every off-diagonal inner product of the level-n atoms and the
-    candidate, tested pair by pair as a Fraction root-of-unity sum."""
+def _reference_atoms(sysm, n):
+    """The level-n atoms sum_{j<=n} M_1^{-1}...M_j^{-1} d_j as Fractions."""
     atoms = [(Fraction(0), Fraction(0))]
     prefix = Mat2.identity()
     for j in range(1, n + 1):
@@ -383,6 +382,13 @@ def _reference_oracle_exact(sysm, n, candidate):
         prefix = prefix * m.inverse()
         images = [prefix.apply(p) for p in d.points()]
         atoms = [(ax + ix, ay + iy) for ax, ay in atoms for ix, iy in images]
+    return atoms
+
+
+def _reference_oracle_exact(sysm, n, candidate):
+    """Every off-diagonal inner product of the level-n atoms and the
+    candidate, tested pair by pair as a Fraction root-of-unity sum."""
+    atoms = _reference_atoms(sysm, n)
     pts = [(Fraction(x), Fraction(y)) for x, y in candidate]
     return all(
         unity_sum_is_zero_ints(*over_common_denominator(
@@ -390,6 +396,17 @@ def _reference_oracle_exact(sysm, n, candidate):
         for i, pi in enumerate(pts)
         for pj in pts[i + 1:]
     )
+
+
+def _reference_oracle_residual(sysm, n, candidate):
+    """The largest off-diagonal |H*H| entry of the dense normalized
+    exponential matrix H between the level-n atoms and the candidate."""
+    a = np.array([[float(x), float(y)] for x, y in _reference_atoms(sysm, n)])
+    lam = np.array([[float(x), float(y)] for x, y in candidate])
+    h = np.exp(2j * np.pi * (a @ lam.T)) / math.sqrt(len(a))
+    gram = np.abs(h.conj().T @ h)
+    np.fill_diagonal(gram, 0.0)
+    return float(gram.max())
 
 
 SUM16 = sum_set(D0, GenericDigitSet(tuple((6 * x, 6 * y) for x, y in D0.points())))
@@ -555,8 +572,9 @@ def test_zero_certificates_match_fraction_scan():
 
 def test_oracle_matches_per_pair_unity_sums():
     """The oracle's verdict equals a pair-by-pair Fraction check on towers,
-    translated towers and towers with planted shifts, and its float
-    residual is small wherever the exact check passes."""
+    translated towers and towers with planted shifts; its float residual
+    is small wherever the exact check passes and equals the dense
+    off-diagonal max of |H*H| to rounding."""
     rng = random.Random(505)
     outcomes = set()
     for name, base in CROSS_SYSTEMS.items():
@@ -568,6 +586,8 @@ def test_oracle_matches_per_pair_unity_sums():
                 rep = discrete_spectrum_oracle(base, level, pts)
                 assert rep.unitary == _reference_oracle_exact(base, level, pts), (name, level)
                 assert rep.residual < 1e-10 or not rep.unitary
+                dense = _reference_oracle_residual(base, level, pts)
+                assert abs(rep.residual - dense) < 1e-13, (name, level)
                 outcomes.add(rep.unitary)
     assert outcomes == {True, False}
     # One vanishing test fails among many: (6, 0) repeats the residue of

@@ -12,12 +12,12 @@ PUBLIC_API = [
     "ValidationReport", "Verdict", "ZeroCertificate", "attractor_points",
     "build_lattice_spectrum", "build_tower", "canonical_digits", "classify",
     "classify_thm11", "classify_thm14", "classify_thm15", "classify_thm16",
-    "completeness_report", "completeness_sum", "conjugate_system", "digitsets",
+    "completeness_report", "completeness_sum", "conjugate_system",
     "discrete_spectrum_oracle", "enumerate_tower", "eval_mask", "fourier",
     "fourier_many", "fourier_zero_exact", "in_gl2_2z", "integer_periodic_zero_nonempty",
-    "inverse_norm_below_one", "is_expanding", "is_hadamard_triple", "lattice", "mask",
-    "mat_product", "moran", "realize_word_system", "reduce_canonical",
-    "scaled_canonical", "spectra", "sum_set", "validate", "verify_orthogonality",
+    "inverse_norm_below_one", "is_expanding", "is_hadamard_triple",
+    "mat_product", "realize_word_system", "reduce_canonical",
+    "scaled_canonical", "sum_set", "validate", "verify_orthogonality",
 ]
 
 

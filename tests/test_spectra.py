@@ -373,6 +373,39 @@ class TestOracle:
         assert time.perf_counter() - start < 0.1
         assert not rep.unitary
 
+    def test_level_four_needs_no_dense_matrix(self):
+        """The residual comes from one count per distinct difference, so
+        the level-4 oracle peaks below the 1 MiB of one 256 x 256 complex
+        matrix (the dense residual peaked at 3 MiB)."""
+        points = enumerate_tower(build_tower(SYS2), 4)
+        tracemalloc.start()
+        try:
+            rep = discrete_spectrum_oracle(SYS2, 4, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.unitary and rep.residual < 1e-10
+        assert peak < 2**20
+
+    def test_generic_candidate_stays_small(self):
+        """Shifts over two large primes make nearly every difference and
+        residue distinct; the float residual still keeps O(size) memory."""
+        rng = random.Random(7)
+
+        def shift(p):
+            return Fraction(rng.randint(1, p - 1), p)
+
+        tower = enumerate_tower(build_tower(SYS2), 2)
+        points = [(x + shift(1000003), y + shift(1000033)) for x, y in tower]
+        tracemalloc.start()
+        try:
+            rep = discrete_spectrum_oracle(SYS2, 2, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not rep.unitary and 0.5 < rep.residual <= 1
+        assert peak < 64 * 2**10
+
     def test_oracle_consistency_up_to_three(self):
         for sysm in (SYS2, SYS4):
             tower = build_tower(sysm)
