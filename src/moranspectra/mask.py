@@ -162,11 +162,13 @@ def zero_norm_floor(digits: DigitSet) -> Fraction:
 
     Structured sets: 2 Q^t eta is a nonzero integer vector on the zero set,
     so ||eta|| >= 1 / (2 ||Q||).  Generic sets: 1 = |1 - m_D(eta)| <=
-    2 pi max||d|| ||eta||.
+    2 pi max||d|| ||eta||.  D = {0} has no zeros, so any floor serves; a
+    nonzero integer digit has norm^2 >= 1, so the max with 1 changes no
+    other set.
     """
     if isinstance(digits, StructuredDigitSet):
         return Fraction(1) / (2 * operator_norm_upper(digits.q_matrix()))
-    return Fraction(1) / (2 * PI_UPPER * sqrt_upper(digits.max_norm_sq()))
+    return Fraction(1) / (2 * PI_UPPER * sqrt_upper(max(digits.max_norm_sq(), 1)))
 
 
 def digit_mask_zero(digits: DigitSet, xi) -> bool:

@@ -48,6 +48,7 @@ from typing import Callable, Generic, Iterable, Iterator, Optional, Sequence, Ty
 from .digitsets import DigitSet, scaled_by_matrix
 from .lattice import (
     Mat2,
+    Vec2,
     digit_expansion,
     inverse_norm_upper,
     is_expanding,
@@ -832,18 +833,21 @@ def integer_periodic_zero_nonempty(
 # --- sums over product sets ---------------------------------------------------
 
 
+def attractor_stages(sys: MoranSystem, depth: int) -> list[list[Vec2]]:
+    """The exact stage images M_1^{-1}...M_j^{-1} D_j for j = 1..depth; the
+    depth-k partial sums are their sumset."""
+    stages, prefix = [], Mat2.identity()
+    for n in range(1, depth + 1):
+        m, d = sys.level(n)
+        prefix = prefix * m.inverse()
+        stages.append([prefix.apply(p) for p in d.points()])
+    return stages
+
+
 def attractor_sums(sys: MoranSystem, depth: int) -> tuple[list[tuple[int, int]], int]:
     """The depth-k partial sums sum_{j<=k} M_1^{-1}...M_j^{-1} d_j as
     `digit_expansion` numerators over q."""
-
-    def stages():
-        prefix = Mat2.identity()
-        for n in range(1, depth + 1):
-            m, d = sys.level(n)
-            prefix = prefix * m.inverse()
-            yield [prefix.apply(p) for p in d.points()]
-
-    return digit_expansion(stages())
+    return digit_expansion(attractor_stages(sys, depth))
 
 
 def attractor_points(

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .classify import SPECTRAL, classify_thm16, thm16_shape
@@ -45,7 +45,7 @@ from .moran import (
     _analysis,
     _float_point,
     _zero_scan,
-    attractor_sums,
+    attractor_stages,
     fourier_many,
 )
 
@@ -311,6 +311,30 @@ def check_oracle_level(n: int, cap: int) -> None:
         raise CapExceeded(f"oracle level {n} outside 1..{cap}")
 
 
+def _stage_numerators(stages: list[list[Vec2]]) -> tuple[list[list[tuple[int, int]]], int]:
+    """Stage images (of `attractor_stages`) as integer numerators over their
+    one common denominator q, not reduced, stage by stage."""
+    nums, q = over_common_denominator(c for stage in stages for p in stage for c in p)
+    pairs = iter(zip(nums[::2], nums[1::2]))
+    return [list(islice(pairs, len(stage))) for stage in stages], q
+
+
+def _residue_counts(stages: list[list[tuple[int, int]]], dx: int, dy: int, q: int) -> dict[int, int]:
+    """The counts of (s_1 + ... + s_n) . (dx, dy) mod q over the sumset of
+    the stages, merged mod q after each stage: the work per stage is at most
+    #stage times the residues so far, never the product of the stage sizes."""
+    counts = {0: 1}
+    for stage in stages:
+        shifts = [(sx * dx + sy * dy) % q for sx, sy in stage]
+        merged: dict[int, int] = {}
+        for k, c in counts.items():
+            for r in shifts:
+                key = (k + r) % q
+                merged[key] = merged.get(key, 0) + c
+        counts = merged
+    return counts
+
+
 def discrete_spectrum_oracle(
     sys: MoranSystem,
     n: int,
@@ -319,32 +343,47 @@ def discrete_spectrum_oracle(
 ) -> OracleReport:
     """Brute-force spectral-pair check at level n.
 
-    H is the normalized exponential matrix between the 4^n level-n atoms a
-    and the candidates.  An entry of H*H is (1/size) sum_a e(a . d) for the
-    difference d of its two candidates.  For each distinct sign-canonical d,
-    the counts of a . d mod q, over one common denominator q, decide exactly
-    whether the entry vanishes (`unitary`) and give its modulus; `residual`,
-    the largest off-diagonal |H*H| entry, is only reported.
+    H is the normalized exponential matrix between the prod_{j<=n} #D_j
+    level-n atoms a and the candidates.  An entry of H*H is
+    (1/size) sum_a e(a . d) for the difference d of its two candidates, so it
+    depends only on the counts of a . d mod q over one common denominator q.
+    The atoms are the sumset of the stage images, so for each distinct
+    sign-canonical d the counts are built stage by stage.  Each distinct
+    count pattern is decided once: its exact vanishing (`unitary`) and its
+    modulus; `residual`, the largest off-diagonal |H*H| entry, is only
+    reported.  The pattern memo is cleared once its keys hold 16 size
+    residues, so memory stays O(size) for any q.
     """
     check_oracle_level(n, cap)
-    atoms_i, qa = attractor_sums(sys, n)
+    images = attractor_stages(sys, n)
+    atoms_i, _ = digit_expansion(images)
     size = len(atoms_i)
     if len(set(atoms_i)) != size:
         raise ValueError("level-n convolution atoms collide; weights would merge")
     pts_i, ql = digit_expansion([candidate])
     if len(pts_i) != size:
         raise ValueError(f"candidate has {len(pts_i)} points, expected {size}")
-    q = qa * ql
-    unitary, largest, roots = True, 0.0, {}
+    stages, qs = _stage_numerators(images)
+    q = qs * ql
+    unitary, largest = True, 0.0
+    moduli: dict[frozenset, float] = {}  # count pattern -> |sum_k c_k e(k/q)|
+    stored = 0  # residues held by the patterns in `moduli`
     for _, dx, dy in distinct_differences(pts_i):
-        counts = Counter((ax * dx + ay * dy) % q for ax, ay in atoms_i)
-        unitary = unitary and _vanishes(counts, q)
-        if len(roots) > 4 * size:  # bounds the unit-root cache for any q
-            roots.clear()
-        total = 0j
-        for k, c in counts.items():
-            if k not in roots:
-                roots[k] = cmath.rect(1.0, TWO_PI * k / q)
-            total += c * roots[k]
-        largest = max(largest, abs(total))
+        counts = _residue_counts(stages, dx, dy, q)
+        # size distinct residues all count 1, so they alone are the pattern
+        pattern = frozenset(counts if len(counts) == size else counts.items())
+        modulus = moduli.get(pattern)
+        if modulus is None:
+            unitary = unitary and _vanishes(counts, q)
+            # O(size) memory for any q; the level-3 tower patterns of 4I and
+            # [[4,2],[2,4]] hold under 10 size residues, so none is decided twice.
+            if stored > 16 * size:
+                moduli.clear()
+                stored = 0
+            total = 0j
+            for k, c in counts.items():
+                total += c * cmath.rect(1.0, TWO_PI * k / q)
+            modulus = moduli[pattern] = abs(total)
+            stored += len(counts)
+        largest = max(largest, modulus)
     return OracleReport(unitary=unitary, residual=largest / size)

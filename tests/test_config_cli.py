@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moranspectra
@@ -41,6 +41,12 @@ word:
   sigma_preperiod: 2
   sigma_period: 3
   t_values: 1 3 5
+"""
+
+ZERO_DIGIT = """\
+period:
+  matrix: 2 0 0 2
+  digits: generic 0,0
 """
 
 HADAMARD_OK = """\
@@ -209,6 +215,21 @@ assert "numpy" in sys.modules
         proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                               env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_zero_digit_set_is_no_traceback(self, tmp_path, capsys):
+        """D = {0} gives m_D = 1: no zero set, |mu^| = 1 everywhere.  Its zero
+        norm floor used to divide by max||d|| = 0 (ZeroDivisionError)."""
+        path = write(tmp_path, ZERO_DIGIT)
+
+        def results(argv):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            return json.loads(next(l for l in out.splitlines() if l.startswith("{")))["results"]
+
+        assert results(["zero", path, "--xi", "1/2,0"])["in_zero_set"] is False
+        assert results(["fourier", path, "--xi", "0.3,0.7"])["abs"] == 1
+        assert results(["emit", path, "--depth", "2", "--grid", "3",
+                        "--out", str(tmp_path / "out")])["attractor_points"] == 1
 
     def test_hadamard_mismatch_exit_2(self, tmp_path):
         bad = HADAMARD_OK.replace(" 1,1", "")
@@ -443,20 +464,34 @@ commands = st.sampled_from(["validate", "classify", "hadamard", "zero", "fourier
                             "spectrum", "oracle", "emit", "", "nope", "-h"])
 
 
+# Degenerate but parseable systems: D = {0}, one nonzero digit, a collinear
+# pair, a non-expanding matrix.
+BODIES = [
+    CONST_2I,
+    ZERO_DIGIT,
+    "period:\n  matrix: 2 0 0 2\n  digits: generic 1,2\n",
+    "period:\n  matrix: 2 0 0 2\n  digits: generic 0,0 1,0\n",
+    "period:\n  matrix: 2 0 0 1\n  digits: canonical\n",
+]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     commands,
-    st.sampled_from(["cfg.txt", "missing.txt", "", "."]),
+    st.sampled_from(["fuzz.txt", "missing.txt", "", "."]),
     st.lists(st.tuples(flags, flag_values), max_size=4),
     st.booleans(),
+    st.sampled_from(BODIES),
 )
-def test_cli_fuzz_exit_codes(tmp_path_factory, command, config, pairs, drop_value):
-    """Any argv ends in a documented exit code (argparse's SystemExit counts
-    as its code), never another exception; the shared parser keeps serving
-    later calls unchanged."""
+@example("emit", "fuzz.txt", [], False, ZERO_DIGIT)
+def test_cli_fuzz_exit_codes(tmp_path_factory, command, config, pairs, drop_value, body):
+    """Any argv on any config body ends in a documented exit code
+    (argparse's SystemExit counts as its code), never another exception;
+    the shared parser keeps serving later calls unchanged."""
     workdir = tmp_path_factory.getbasetemp() / "fuzz"
     workdir.mkdir(exist_ok=True)
     (workdir / "cfg.txt").write_text(CONST_2I)
+    (workdir / "fuzz.txt").write_text(body)
     argv = [command, config] if command else []
     for flag, value in pairs:
         argv += [flag] if drop_value else [flag, value]

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,8 @@ from moranspectra.moran import (
     FourierResult,
     MoranSystem,
     ZeroCertificate,
+    attractor_stages,
+    attractor_sums,
     conjugate_system,
     fourier,
     fourier_many,
@@ -51,6 +54,8 @@ from moranspectra.moran import (
 )
 from moranspectra.spectra import (
     OrthogonalityResult,
+    _residue_counts,
+    _stage_numerators,
     build_lattice_spectrum,
     build_tower,
     completeness_sum,
@@ -598,6 +603,28 @@ def test_oracle_matches_per_pair_unity_sums():
     lone = [(6, 0)] + grid[1:]
     assert not _reference_oracle_exact(sysm, 2, lone)
     assert not discrete_spectrum_oracle(sysm, 2, lone).unitary
+
+
+def test_stage_counts_equal_flat_atom_counts():
+    """The oracle's residue counts, merged mod q stage by stage, equal the
+    counts over the flat atoms of `attractor_sums` at levels 1-4, for integer
+    and rational matrices and a translated digit set without 0."""
+    translated = GenericDigitSet(tuple((x + 3, y - 2) for x, y in D0.points()))
+    systems = {name: CROSS_SYSTEMS[name] for name in ("2I", "shear", "4224", "9to3")}
+    systems["mixed reduced"] = reduce_canonical(MIXED)
+    systems["translated"] = MoranSystem.constant(I2, translated)
+    assert not systems["mixed reduced"].preperiod[0][0].is_integral()
+    rng = random.Random(707)
+    for name, sysm in systems.items():
+        for level in (1, 2, 3, 4):
+            stages, qs = _stage_numerators(attractor_stages(sysm, level))
+            atoms, qa = attractor_sums(sysm, level)
+            for ql in (1, 3, 10):
+                q = qs * ql
+                for _ in range(10):
+                    dx, dy = rng.randint(-50, 50), rng.randint(-50, 50)
+                    flat = Counter((ax * dx + ay * dy) * (qs // qa) % q for ax, ay in atoms)
+                    assert _residue_counts(stages, dx, dy, q) == flat, (name, level, ql, dx, dy)
 
 
 # --- the float evaluator against its earlier scalar loop and mpmath ----------

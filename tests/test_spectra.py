@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from moranspectra import spectra
 from moranspectra.classify import thm16_shape
-from moranspectra.digitsets import canonical_digits, scaled_canonical
+from moranspectra.digitsets import GenericDigitSet, canonical_digits, scaled_canonical
 from moranspectra.lattice import Mat2
 from moranspectra.moran import (
     CapExceeded,
@@ -405,6 +406,37 @@ class TestOracle:
             tracemalloc.stop()
         assert not rep.unitary and 0.5 < rep.residual <= 1
         assert peak < 64 * 2**10
+
+    def test_each_count_pattern_decided_once(self, monkeypatch):
+        """The level-3 4I oracle meets 364 distinct differences but only 29
+        residue-count patterns; each pattern reaches `_vanishes` once."""
+        calls = []
+        vanishes = spectra._vanishes
+
+        def spy(terms, q):
+            calls.append((frozenset(terms.items()), q))
+            return vanishes(terms, q)
+
+        monkeypatch.setattr(spectra, "_vanishes", spy)
+        rep = discrete_spectrum_oracle(SYS4, 3, enumerate_tower(build_tower(SYS4), 3))
+        assert rep.unitary and rep.residual < 1e-10
+        assert len(calls) == len(set(calls)) == 29
+
+    def test_pattern_is_counts_not_residues(self):
+        """Over the atoms (0,0), (1/4,0), (0,1/4), (1/2,0), the difference
+        (2,2) meets the residues {0, 1/2} twice each (a vanishing sum) and
+        (2,0) meets them with counts 3 and 1: one residue set, two patterns."""
+        sysm = MoranSystem.constant(I4, GenericDigitSet(((0, 0), (1, 0), (0, 1), (2, 0))))
+        assert not discrete_spectrum_oracle(sysm, 1, [(0, 0), (2, 2), (2, 0), (4, 2)]).unitary
+
+    def test_level_five_stays_small(self):
+        """Counts merged stage by stage never hold the 1,024 flat residues
+        per difference, and patterns are memoised in O(size) entries."""
+        points = enumerate_tower(build_tower(SYS2), 5)
+        reports = []
+        peak = _peak_bytes(lambda: reports.append(discrete_spectrum_oracle(SYS2, 5, points, cap=5)))
+        assert reports[0].unitary and reports[0].residual < 1e-10
+        assert peak < 2 * 2**20
 
     def test_oracle_consistency_up_to_three(self):
         for sysm in (SYS2, SYS4):
