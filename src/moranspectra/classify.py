@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
-from .digitsets import StructuredDigitSet, scaled_t_of
+from .digitsets import scaled_t_of
 from .lattice import Mat2
 from .moran import (
     DET_4,
@@ -35,6 +35,7 @@ from .moran import (
     TWord,
     conjugate_system,
     first_failure,
+    first_odd_level,
     word_hypotheses_problem,
 )
 
@@ -60,34 +61,18 @@ class Verdict:
         return self.outcome in (SPECTRAL, NOT_SPECTRAL)
 
 
-def _all_structured(sys: MoranSystem) -> bool:
-    return all(isinstance(d, StructuredDigitSet) for _, d in sys.distinct())
-
-
 def _structured_rule(
     sys: MoranSystem, rule: str, checks: Sequence[Hypothesis]
 ) -> Optional[Verdict]:
     """OutOfTheory at the first failed hypothesis of a rule on four-point
-    structured digits, NotSpectral when a matrix used at some level >= 2 is
-    not in GL(2,2Z), else None.
-
-    Distinct levels are tried in order, each cited at its first level >= 2:
-    a preperiod's first entry never recurs, and with no preperiod the first
-    period entry recurs at level 1 + r.
-    """
-    if not _all_structured(sys):
+    structured digits, NotSpectral at `first_odd_level`, else None."""
+    if not sys.all_structured():
         return Verdict(OUT_OF_THEORY, rule, f"{rule} needs four-point structured digit sets")
     problem = first_failure(sys.matrices(), checks)
     if problem:
         return Verdict(OUT_OF_THEORY, rule, problem)
-    p, r = len(sys.preperiod), len(sys.period)
-    for i, m in enumerate(sys.matrices()):
-        if i > 0 or p == 0:
-            level = i + 1 if i > 0 else 1 + r
-            problem = first_failure((m,), (IN_GL2_2Z,), noun=f"level {level} matrix")
-            if problem:
-                return Verdict(NOT_SPECTRAL, rule, problem)
-    return None
+    odd = first_odd_level(sys)
+    return Verdict(NOT_SPECTRAL, rule, odd[1]) if odd else None
 
 
 # --- rule T1.4: strict determinant family ----------------------------------
@@ -225,7 +210,7 @@ def similarity_normalize(sys: MoranSystem) -> MoranSystem:
     conjugating by Qhat^{-1} turns the digits into t_n * canonical without
     changing spectrality; classification then sees the normalized system.
     """
-    if not _all_structured(sys):
+    if not sys.all_structured():
         return sys
     qhat: Optional[Mat2] = None
     for _, d in sys.distinct():

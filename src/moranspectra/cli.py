@@ -120,7 +120,7 @@ def cmd_classify(cfg: SystemConfig, args, report: Report) -> int:
     if cfg.word is not None:
         cfg.require_period()
         matrices = [l.matrix for l in cfg.preperiod + cfg.period]
-        verdict = classify(cfg.tword(), matrices)
+        verdict = classify(cfg.word, matrices)
     else:
         verdict = classify(cfg.system())
     report.results.update(
@@ -215,7 +215,7 @@ def cmd_spectrum(cfg: SystemConfig, args, report: Report) -> int:
                 for k in range(1, args.depth + 1)
             ]
         else:
-            boxes = sorted({max(1, args.box // 2), args.box})
+            boxes = sorted({min(args.box, max(1, args.box // 2)), args.box})
             nested = [
                 points if b == args.box else spectra.build_lattice_spectrum(sys_, b, cap=args.cap)
                 for b in boxes
@@ -282,9 +282,12 @@ def cmd_emit(cfg: SystemConfig, args, report: Report) -> int:
     sys_ = cfg.system()
     # fourier_many checks the system and eps when called, before it reads a
     # point, and attractor_points checks --depth and --cap before it builds a
-    # point: run those checks before anything is created or written.
+    # point: run those checks, and the grid's cap, before anything is created
+    # or written.
     fourier_many(sys_, (), args.eps)
     points = attractor_points(sys_, args.depth, cap=args.cap)
+    if args.grid**2 > args.cap:
+        raise CapExceeded(f"{args.grid}^2 grid points exceed cap {args.cap}")
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     attractor_path = outdir / "attractor.csv"
@@ -320,11 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str):
+    def add(name: str, cap: bool = False):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a config file")
-        p.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
-                       help="point-count resource cap")
+        if cap:
+            p.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
+                           help="point-count resource cap")
         return p
 
     add("validate")
@@ -337,17 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("fourier")
     p.add_argument("--xi", required=True, help="evaluation point x,y")
     p.add_argument("--eps", type=float, default=1e-8)
-    p = add("spectrum")
+    p = add("spectrum", cap=True)
     p.add_argument("--kind", choices=("tower", "lattice"), default="tower")
     p.add_argument("--depth", type=int, default=3, help="tower truncation k")
     p.add_argument("--box", type=int, default=8, help="lattice box half-width")
     p.add_argument("--xi", default=None, help="completeness evaluation point")
     p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--out", default=None, help="CSV output path for the points")
-    p = add("oracle")
+    p = add("oracle", cap=True)
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--oracle-cap", type=int, default=4)
-    p = add("emit")
+    p = add("emit", cap=True)
     p.add_argument("--depth", type=int, default=5, help="attractor depth")
     p.add_argument("--box", type=int, default=2, help="grid box half-width")
     p.add_argument("--grid", type=int, default=50, help="grid points per axis")

@@ -57,13 +57,6 @@ class LevelSpec:
 
 
 @dataclass
-class WordSpec:
-    sigma_preperiod: tuple[int, ...]
-    sigma_period: tuple[int, ...]
-    t_values: tuple[int, ...]
-
-
-@dataclass
 class HadamardSpec:
     matrix: Mat2
     digits: DigitSet
@@ -74,7 +67,7 @@ class HadamardSpec:
 class SystemConfig:
     preperiod: list[LevelSpec] = field(default_factory=list)
     period: list[LevelSpec] = field(default_factory=list)
-    word: Optional[WordSpec] = None
+    word: Optional[TWord] = None
     hadamard: Optional[HadamardSpec] = None
 
     def require_period(self) -> None:
@@ -86,7 +79,7 @@ class SystemConfig:
         self.require_period()
         if self.word is not None:
             return realize_word_system(
-                self.tword(),
+                self.word,
                 [l.matrix for l in self.preperiod],
                 [l.matrix for l in self.period],
             )
@@ -97,13 +90,6 @@ class SystemConfig:
             levels.append((l.matrix, l.digits))
         p = len(self.preperiod)
         return MoranSystem(levels[:p], levels[p:])
-
-    def tword(self) -> TWord:
-        if self.word is None:
-            raise ValueError("config has no word: block")
-        return TWord(
-            self.word.sigma_preperiod, self.word.sigma_period, self.word.t_values
-        )
 
 
 def _parse_ints(text: str, line: int, expect: Optional[int] = None) -> list[int]:
@@ -242,12 +228,11 @@ def parse_config(text: str) -> SystemConfig:
         if missing:
             raise ConfigError(word_line, f"word block missing {sorted(missing)}")
         try:
-            cfg.word = WordSpec(
+            cfg.word = TWord(
                 word_fields.get("sigma_preperiod", ()),
                 word_fields["sigma_period"],
                 word_fields["t_values"],
             )
-            cfg.tword()  # structural validation
         except ValueError as exc:
             raise ConfigError(word_line, str(exc))
     if had_fields:
@@ -288,11 +273,9 @@ def format_config(cfg: SystemConfig) -> str:
                     out.append(f"  digits: {_format_digits(l.digits)}")
     if cfg.word is not None:
         out.append("word:")
-        if cfg.word.sigma_preperiod:
-            out.append(
-                "  sigma_preperiod: " + " ".join(map(str, cfg.word.sigma_preperiod))
-            )
-        out.append("  sigma_period: " + " ".join(map(str, cfg.word.sigma_period)))
+        if cfg.word.preperiod:
+            out.append("  sigma_preperiod: " + " ".join(map(str, cfg.word.preperiod)))
+        out.append("  sigma_period: " + " ".join(map(str, cfg.word.period)))
         out.append("  t_values: " + " ".join(map(str, cfg.word.t_values)))
     if cfg.hadamard is not None:
         h = cfg.hadamard

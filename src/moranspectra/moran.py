@@ -45,7 +45,13 @@ from functools import lru_cache
 from itertools import chain, combinations, cycle, islice
 from typing import Callable, Generic, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .digitsets import DigitSet, scaled_by_matrix
+from .digitsets import (
+    DigitSet,
+    StructuredDigitSet,
+    canonical_digits,
+    scaled_by_matrix,
+    scaled_canonical,
+)
 from .lattice import (
     Mat2,
     Vec2,
@@ -160,6 +166,10 @@ class MoranSystem(EventuallyPeriodic[Level]):
 
     def matrices(self) -> tuple[Mat2, ...]:
         return tuple(m for m, _ in self.distinct())
+
+    def all_structured(self) -> bool:
+        """Whether every digit set is a four-point structured set."""
+        return all(isinstance(d, StructuredDigitSet) for _, d in self.distinct())
 
 
 def conjugate_system(sys: MoranSystem, q: Mat2) -> MoranSystem:
@@ -456,6 +466,24 @@ def first_failure(
     return None
 
 
+def first_odd_level(sys: MoranSystem) -> Optional[tuple[int, str]]:
+    """(level, detail) for the first matrix used at some level >= 2 that is
+    not in GL(2,2Z), or None: the paper's spectrality condition fails.
+
+    Distinct levels are tried in order, each cited at its first level >= 2:
+    a preperiod's first entry never recurs, and with no preperiod the first
+    period entry recurs at level 1 + r.
+    """
+    p, r = len(sys.preperiod), len(sys.period)
+    for i, m in enumerate(sys.matrices()):
+        if i > 0 or p == 0:
+            level = i + 1 if i > 0 else 1 + r
+            problem = first_failure((m,), (IN_GL2_2Z,), noun=f"level {level} matrix")
+            if problem:
+                return level, problem
+    return None
+
+
 # --- canonical reduction ----------------------------------------------------
 
 
@@ -467,11 +495,8 @@ def reduce_canonical(sys: MoranSystem) -> MoranSystem:
     one; the measure is unchanged.  The result is eventually periodic with
     the preperiod extended by one level.
     """
-    from .digitsets import StructuredDigitSet, canonical_digits
-
-    for _, d in sys.distinct():
-        if not isinstance(d, StructuredDigitSet):
-            raise OutOfTheoryError("canonical reduction needs structured digit sets")
+    if not sys.all_structured():
+        raise OutOfTheoryError("canonical reduction needs structured digit sets")
     d0 = canonical_digits()
 
     def reduced(n: int) -> Level:
@@ -791,8 +816,6 @@ def realize_word_system(
 ) -> MoranSystem:
     """The Moran system with matrices from the given eventually periodic
     matrix sequence and digits D_n = t_{sigma_n} * canonical."""
-    from .digitsets import scaled_canonical
-
     matrices = EventuallyPeriodic(matrix_preperiod, matrix_period)
 
     def level_at(n: int) -> Level:

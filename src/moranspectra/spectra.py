@@ -27,13 +27,11 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .classify import SPECTRAL, classify_thm16, thm16_shape
-from .digitsets import StructuredDigitSet
 from .lattice import (
     Mat2,
     Vec2,
     digit_expansion,
     distinct_differences,
-    in_gl2_2z,
     over_common_denominator,
 )
 from .mask import TWO_PI, _vanishes, is_hadamard_triple
@@ -46,6 +44,7 @@ from .moran import (
     _float_point,
     _zero_scan,
     attractor_stages,
+    first_odd_level,
     fourier_many,
 )
 
@@ -56,7 +55,8 @@ F2 = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 class TowerUnavailable(OutOfTheoryError):
     """A level >= 2 matrix is outside GL(2,2Z), so no half-lattice companion
-    tower exists (consistent with the even-entry necessity)."""
+    tower exists (consistent with the even-entry necessity).  Level and
+    message are `first_odd_level`'s, as in the T1.1/T1.4 NotSpectral detail."""
 
     def __init__(self, level: int, message: str):
         super().__init__(message)
@@ -90,19 +90,13 @@ class SpectrumTower:
 
 def build_tower(sys: MoranSystem) -> SpectrumTower:
     """Construct and exactly verify the half-lattice companion tower."""
-    levels = sys.distinct()
-    for _, d in levels:
-        if not isinstance(d, StructuredDigitSet):
-            raise OutOfTheoryError("towers need structured digit sets")
-    p, r = len(sys.preperiod), len(sys.period)
-    for n in range(2, p + r + 2):
-        m, _ = sys.level(n)
-        if not in_gl2_2z(m):
-            raise TowerUnavailable(
-                n, f"level {n} matrix {[list(row) for row in m.rows()]} is not in GL(2,2Z)"
-            )
+    if not sys.all_structured():
+        raise OutOfTheoryError("towers need structured digit sets")
+    odd = first_odd_level(sys)
+    if odd:
+        raise TowerUnavailable(*odd)
     tower = SpectrumTower(sys)
-    for n in range(1, p + r + 1):
+    for n in range(1, len(sys.distinct()) + 1):
         m, d = sys.level(n)
         if not is_hadamard_triple(m, d, tower.companions(n)):
             raise OutOfTheoryError(f"level {n} companion set is not Hadamard")

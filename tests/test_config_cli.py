@@ -19,13 +19,12 @@ from moranspectra.config import (
     HadamardSpec,
     LevelSpec,
     SystemConfig,
-    WordSpec,
     format_config,
     parse_config,
 )
 from moranspectra.digitsets import GenericDigitSet, canonical_digits, scaled_canonical
 from moranspectra.lattice import Mat2
-from moranspectra.moran import fourier
+from moranspectra.moran import TWord, fourier
 from moranspectra.spectra import build_tower, completeness_report
 
 CONST_2I = """\
@@ -71,8 +70,7 @@ class TestParse:
 
     def test_word_config(self):
         cfg = parse_config(WORD_23)
-        word = cfg.tword()
-        assert word.preperiod == (2,) and word.period == (3,)
+        assert cfg.word == TWord((2,), (3,), (1, 3, 5))
         sysm = cfg.system()
         assert sysm.level(1)[1] == scaled_canonical(3)
         assert sysm.level(5)[1] == scaled_canonical(5)
@@ -116,7 +114,7 @@ ROUND_TRIP_CONFIGS = [
     ),
     SystemConfig(
         period=[LevelSpec(Mat2.scalar(2), None)],
-        word=WordSpec((2,), (3,), (1, 3, 5)),
+        word=TWord((2,), (3,), (1, 3, 5)),
     ),
     SystemConfig(
         period=[
@@ -170,6 +168,21 @@ class TestExitCodes:
         assert main(["emit", write(tmp_path, CONST_2I), "--depth", "9", "--grid", "2",
                      "--out", str(outdir), "--cap", "100"]) == 4
         assert not outdir.exists()
+
+    def test_grid_cap_exit_4(self, tmp_path):
+        """4 attractor points fit the cap, but the 11 x 11 grid does not."""
+        outdir = tmp_path / "out"
+        assert main(["emit", write(tmp_path, CONST_2I), "--depth", "1", "--grid", "11",
+                     "--out", str(outdir), "--cap", "100"]) == 4
+        assert not outdir.exists()
+
+    def test_cap_only_where_read(self):
+        """--cap exists on the commands that enumerate points, and only there."""
+        commands = ["validate", "classify", "hadamard", "zero", "fourier", "spectrum",
+                    "oracle", "emit"]
+        parse = build_parser().parse_known_args
+        with_cap = {c for c in commands if hasattr(parse([c, "cfg.txt", "--xi=0,0"])[0], "cap")}
+        assert with_cap == {"spectrum", "oracle", "emit"}
 
     def test_closed_stdout_exit_3(self, tmp_path):
         """A reader that is gone before the report is written: exit 3 and one
@@ -359,7 +372,8 @@ class TestCommands:
         out_csv = tmp_path / "pts.csv"
         assert main(["spectrum", write(tmp_path, CONST_2I), "--kind", "tower",
                      "--depth", "2", "--out", str(out_csv)]) == 0
-        rows = list(csv.reader(out_csv.open()))
+        with out_csv.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["x", "y"]
         assert len(rows) == 17
         assert "orthogonal: True" in capsys.readouterr().out
@@ -376,7 +390,7 @@ class TestCommands:
             (["--kind", "tower", "--depth", "3"], [1, 2, 3]),
             (["--kind", "lattice", "--box", "4"], [2, 4]),
             (["--kind", "lattice", "--box", "1"], [1]),
-            (["--kind", "lattice", "--box", "0"], [0, 1]),
+            (["--kind", "lattice", "--box", "0"], [0]),
         ],
     )
     def test_spectrum_xi_builds_each_truncation_once(self, tmp_path, monkeypatch, capsys,
@@ -406,10 +420,12 @@ class TestCommands:
         outdir = tmp_path / "out"
         assert main(["emit", write(tmp_path, CONST_2I), "--depth", "5",
                      "--grid", "5", "--out", str(outdir)]) == 0
-        rows = list(csv.reader((outdir / "attractor.csv").open()))
+        with (outdir / "attractor.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["x", "y"]
         assert len(rows) == 1025  # header + 4^5
-        grid = list(csv.reader((outdir / "fourier_grid.csv").open()))
+        with (outdir / "fourier_grid.csv").open() as fh:
+            grid = list(csv.reader(fh))
         assert grid[0] == ["x", "y", "absval"]
         assert len(grid) == 26
 
@@ -421,7 +437,8 @@ class TestCommands:
         assert main(["emit", write(tmp_path, cfg), "--depth", "2", "--grid", "9",
                      "--box", "3", "--eps", "1e-10", "--out", str(outdir)]) == 0
         sysm = parse_config(cfg).system()
-        rows = list(csv.reader((outdir / "fourier_grid.csv").open()))[1:]
+        with (outdir / "fourier_grid.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
         assert len(rows) == 81
         for x, y, absval in rows:
             ref = abs(fourier(sysm, (float(x), float(y)), 1e-10).value)

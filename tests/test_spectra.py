@@ -5,16 +5,27 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moranspectra import spectra
-from moranspectra.classify import thm16_shape
-from moranspectra.digitsets import GenericDigitSet, canonical_digits, scaled_canonical
+from moranspectra.classify import NOT_SPECTRAL, classify_thm11, thm16_shape
+from moranspectra.digitsets import (
+    GenericDigitSet,
+    StructuredDigitSet,
+    canonical_digits,
+    scaled_canonical,
+)
 from moranspectra.lattice import Mat2
 from moranspectra.moran import (
+    DET_AT_LEAST_4,
+    EXPANDING,
     CapExceeded,
     MoranSystem,
     OutOfTheoryError,
     conjugate_system,
+    first_failure,
+    first_odd_level,
     fourier_zero_exact,
 )
 from moranspectra.spectra import (
@@ -29,11 +40,19 @@ from moranspectra.spectra import (
 )
 
 D0 = canonical_digits()
-I2, I3, I4 = Mat2.scalar(2), Mat2.scalar(3), Mat2.scalar(4)
+I2, I3, I4, I5 = Mat2.scalar(2), Mat2.scalar(3), Mat2.scalar(4), Mat2.scalar(5)
 SYS2 = MoranSystem.constant(I2, D0)
 SYS4 = MoranSystem.constant(I4, D0)
 
 F2 = [(Fraction(i), Fraction(j)) for i in (0, 1) for j in (0, 1)]
+
+# Structured levels with even and odd matrices; [[1, 1], [-1, 1]] breaks
+# T1.1's |det| >= 4 and diag(1, 4) its expansion hypothesis.
+STRUCTURED_LEVELS = st.tuples(
+    st.sampled_from([I2, I4, Mat2(4, 2, 2, 4), I3, I5, Mat2(2, 1, 0, 2), Mat2(3, 1, 1, 3),
+                     Mat2(1, 1, -1, 1), Mat2(1, 0, 0, 4)]),
+    st.sampled_from([D0, scaled_canonical(3), StructuredDigitSet((1, 2), (0, 1))]),
+)
 
 
 def _peak_bytes(f):
@@ -110,6 +129,29 @@ class TestTower:
         with pytest.raises(TowerUnavailable) as err:
             build_tower(MoranSystem.constant(I3, D0))
         assert err.value.level == 2
+
+    @settings(max_examples=200)
+    @given(st.lists(STRUCTURED_LEVELS, max_size=2),
+           st.lists(STRUCTURED_LEVELS, min_size=1, max_size=3))
+    @example([], [(I3, D0), (I5, D0)])
+    def test_refusal_is_first_odd_level(self, pre, period):
+        """The tower is refused exactly at `first_odd_level`, and its message
+        is T1.1's NotSpectral detail whenever T1.1's hypotheses hold."""
+        sysm = MoranSystem(tuple(pre), tuple(period))
+        odd = first_odd_level(sysm)
+        try:
+            build_tower(sysm)
+            refusal = None
+        except TowerUnavailable as exc:
+            refusal = (exc.level, str(exc))
+        except OutOfTheoryError:  # a level that is not Hadamard
+            refusal = None
+        assert refusal == odd
+        if first_failure(sysm.matrices(), (DET_AT_LEAST_4, EXPANDING)) is None:
+            verdict = classify_thm11(sysm)
+            assert (verdict.outcome == NOT_SPECTRAL) == (odd is not None)
+            if odd is not None:
+                assert verdict.detail == odd[1]
 
     def test_first_level_exempt(self):
         sysm = MoranSystem(((I3, D0),), ((I4, D0),))
