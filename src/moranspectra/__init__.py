@@ -2,7 +2,9 @@
 
 Exact lattice arithmetic, mask-polynomial zero sets, Hadamard triples,
 certified Fourier products, candidate spectra, and theorem-backed
-spectrality classifiers for eventually periodic systems.
+spectrality classifiers for eventually periodic systems.  The package
+attribute `classify` is the function; the module of that name (which holds
+`RULES`) is `importlib.import_module("moranspectra.classify")`.
 """
 
 from types import ModuleType as _ModuleType

@@ -6,12 +6,11 @@ OutOfTheory with the first failed hypothesis named.  Verdicts carry a rule
 tag (T1.1, T1.4, T1.5, T1.6, C5.1) so downstream reports can cite which
 criterion decided.
 
-The dispatcher first normalizes away a shared unimodular similarity factor
-read off the digit bases (spectrality is similarity-invariant, and the digit
-basis matrices expose the conjugation explicitly), then tries the
-if-and-only-if rules before the necessity-only one:
-T1.4, then T1.6 / C5.1 on constant-tail scaled families, then the word
-criterion T1.5, then T1.1.
+The dispatcher walks one table, `RULES`, the if-and-only-if rules before
+the necessity-only one: T1.4, then T1.6 / C5.1 on constant-tail scaled
+families, then the word criterion T1.5, then T1.1.  If no rule decides, it
+walks the table again after normalizing away a shared unimodular similarity
+factor read off the digit bases (spectrality is similarity-invariant).
 """
 
 from __future__ import annotations
@@ -236,47 +235,42 @@ def similarity_normalize(sys: MoranSystem) -> MoranSystem:
 # --- dispatcher ---------------------------------------------------------------
 
 
+def _thm16_rule(sys: MoranSystem) -> Verdict:
+    shape = thm16_shape(sys)
+    if shape is None:
+        return Verdict(OUT_OF_THEORY, RULE_T16, "not a two-scale constant-tail family")
+    return classify_thm16(*shape)
+
+
+def _thm15_rule(sys: MoranSystem) -> Verdict:
+    shape = thm15_shape(sys)
+    if isinstance(shape, str):
+        return Verdict(OUT_OF_THEORY, RULE_T15, shape)
+    return classify_thm15(*shape)
+
+
+# The iff rules first, T1.1 (necessity only) last.  C5.1 needs a canonical
+# preperiod of at least 2 and T1.6 one of at most 1, so both never apply.
+RULES = (classify_thm14, _thm16_rule, cor51_verdict, _thm15_rule, classify_thm11)
+
+
 def _classify_system(sys: MoranSystem) -> tuple[Optional[Verdict], list[str]]:
     traces: list[str] = []
-
-    v = classify_thm14(sys)
-    if v.decisive:
-        return v, traces
-    traces.append(f"{RULE_T14}: {v.detail}")
-
-    shape = thm16_shape(sys)
-    if shape is not None:
-        v = classify_thm16(*shape)
+    for rule in RULES:
+        v = rule(sys)
+        if v is None:
+            continue
         if v.decisive:
             return v, traces
-        traces.append(f"{RULE_T16}: {v.detail}")
-    else:
-        traces.append(f"{RULE_T16}: not a two-scale constant-tail family")
-        c = cor51_verdict(sys)
-        if c is not None:
-            return c, traces
-
-    word_shape = thm15_shape(sys)
-    if isinstance(word_shape, str):
-        traces.append(f"{RULE_T15}: {word_shape}")
-    else:
-        v = classify_thm15(*word_shape)
-        if v.decisive:
-            return v, traces
-        traces.append(f"{RULE_T15}: {v.detail}")
-
-    v = classify_thm11(sys)
-    if v.decisive:
-        return v, traces
-    traces.append(f"{RULE_T11}: {v.detail}")
+        traces.append(f"{v.rule}: {v.detail}")
     return None, traces
 
 
 def classify(
     target: Union[MoranSystem, TWord], matrices: Optional[Sequence[Mat2]] = None
 ) -> Verdict:
-    """First decisive rule wins, tried as T1.4, then T1.6/C5.1, then T1.5,
-    then T1.1; word inputs go straight to the word rule.
+    """First decisive rule of `RULES` wins; word inputs go straight to the
+    word rule.
 
     The rules run on the system as given, then (if nothing decides) on its
     similarity-normalized form: normalization can only help when a shared

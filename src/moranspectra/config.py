@@ -9,18 +9,15 @@ indentation under section headers:
     period:
       matrix: 2 0 0 2
       digits: scaled 3
-    word:
-      sigma_preperiod: 2
-      sigma_period: 3
-      t_values: 1 3 5
     hadamard:
       matrix: 2 0 0 2
       digits: canonical
       companions: 0,0 1,0 0,1 1,1
 
 Digit specs: `canonical` | `scaled T` | `structured A1 A2 B1 B2` |
-`generic x,y x,y ...`.  Inside a level block `digits:` may be omitted when a
-`word:` block supplies the scales.  All numbers are exact; companion points
+`generic x,y x,y ...`.  A `word:` block (`sigma_preperiod: 2`,
+`sigma_period: 3`, `t_values: 1 3 5`) supplies the digit scales, so its
+level blocks hold matrices only.  All numbers are exact; companion points
 accept rationals like `1/2,3/2`.  Parse errors carry the line number.
 """
 
@@ -157,7 +154,7 @@ def parse_config(text: str) -> SystemConfig:
     word_fields: dict[str, tuple[int, ...]] = {}
     word_line = 0
     had_fields: dict[str, object] = {}
-    had_line = 0
+    had_line = digits_line = 0
     pending_matrix: Optional[Mat2] = None
 
     def close_level(line: int) -> None:
@@ -203,6 +200,7 @@ def parse_config(text: str) -> SystemConfig:
                 target = cfg.preperiod if section == "preperiod" else cfg.period
                 target.append(LevelSpec(pending_matrix, _parse_digits(value, lineno)))
                 pending_matrix = None
+                digits_line = digits_line or lineno
             else:
                 raise ConfigError(lineno, f"unknown level key {key!r}")
         elif section == "word":
@@ -223,6 +221,8 @@ def parse_config(text: str) -> SystemConfig:
                 raise ConfigError(lineno, f"unknown hadamard key {key!r}")
     close_level(len(lines))
 
+    if word_fields and digits_line:
+        raise ConfigError(digits_line, "level digits: conflict with the word: block's scales")
     if word_fields:
         missing = {"sigma_period", "t_values"} - set(word_fields)
         if missing:

@@ -10,10 +10,11 @@ has a single source of truth.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
-from .lattice import Mat2
+from .lattice import Mat2, digit_expansion
 
 
 class DigitSetError(ValueError):
@@ -121,15 +122,12 @@ def sum_set(d1: DigitSet, d2: DigitSet) -> GenericDigitSet:
     A repeated sum would turn the uniform convolution weight into a
     non-uniform one, so it is an error, reported with the colliding points.
     """
-    sums: dict[tuple[int, int], int] = {}
-    for a in d1.points():
-        for b in d2.points():
-            v = (a[0] + b[0], a[1] + b[1])
-            sums[v] = sums.get(v, 0) + 1
+    # Integer digits have q = 1, so the numerators are the sums themselves.
+    sums = Counter(digit_expansion((d1.points(), d2.points()))[0])
     collisions = sorted(v for v, count in sums.items() if count > 1)
     if collisions:
         raise DigitCollision(f"sumset has repeated points: {collisions}")
-    return GenericDigitSet(tuple(sums.keys()))
+    return GenericDigitSet(tuple(sums))
 
 
 def scaled_by_matrix(q: Mat2, d: DigitSet) -> DigitSet:

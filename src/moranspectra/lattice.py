@@ -9,8 +9,9 @@ keeps them correct arbitrarily close to the unit circle where a numeric
 eigenvalue solve could misclassify.
 
 Exact point sets are integer numerators over one denominator, formed only by
-`over_common_denominator`; `digit_expansion` sums product sets and
-`distinct_differences` walks a set's distinct differences.
+`over_common_denominator`.  `stage_numerators` is the one scaling of stage
+images (a sequence of point sets) to integers, `digit_expansion` sums their
+product set, and `distinct_differences` walks a set's distinct differences.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import filterfalse, repeat
+from itertools import filterfalse, islice, repeat
 from operator import sub
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -174,6 +175,15 @@ def over_common_denominator(values: Iterable) -> tuple[list[int], int]:
     return [v.numerator * (q // v.denominator) for v in vals], q
 
 
+def stage_numerators(stages: Iterable[Sequence[Vec2]]) -> tuple[list[list[tuple[int, int]]], int]:
+    """Stage images as integer points (nx, ny) over one common q > 0, the
+    lcm of every coordinate's denominator, stage by stage, not reduced."""
+    images = [list(stage) for stage in stages]
+    nums, q = over_common_denominator(c for stage in images for p in stage for c in p)
+    pairs = iter(zip(nums[::2], nums[1::2]))
+    return [list(islice(pairs, len(stage))) for stage in images], q
+
+
 def digit_expansion(stages: Iterable[Sequence[Vec2]]) -> tuple[list[tuple[int, int]], int]:
     """Every sum sum_j v_j with v_j in the j-th stage's set (the images
     A_j x_j of the x_j in X_j), exactly.
@@ -182,14 +192,11 @@ def digit_expansion(stages: Iterable[Sequence[Vec2]]) -> tuple[list[tuple[int, i
     the gcd of q and every numerator, so q is the lcm of the sums'
     denominators; the first stage varies slowest.
     """
-    images = [list(level) for level in stages]
-    nums, q = over_common_denominator(c for level in images for x, y in level for c in (x, y))
-    xs, ys, start = [0], [0], 0
-    for level in images:
-        end = start + 2 * len(level)
-        xs = [px + dx for px in xs for dx in nums[start:end:2]]
-        ys = [py + dy for py in ys for dy in nums[start + 1:end:2]]
-        start = end
+    ints, q = stage_numerators(stages)
+    xs, ys = [0], [0]
+    for stage in ints:
+        xs = [px + dx for px in xs for dx, _ in stage]
+        ys = [py + dy for py in ys for _, dy in stage]
     g = math.gcd(q, *xs, *ys)
     if g > 1:
         q, xs, ys = q // g, [x // g for x in xs], [y // g for y in ys]

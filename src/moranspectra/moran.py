@@ -867,12 +867,6 @@ def attractor_stages(sys: MoranSystem, depth: int) -> list[list[Vec2]]:
     return stages
 
 
-def attractor_sums(sys: MoranSystem, depth: int) -> tuple[list[tuple[int, int]], int]:
-    """The depth-k partial sums sum_{j<=k} M_1^{-1}...M_j^{-1} d_j as
-    `digit_expansion` numerators over q."""
-    return digit_expansion(attractor_stages(sys, depth))
-
-
 def attractor_points(
     sys: MoranSystem, depth: int, cap: int = DEFAULT_POINT_CAP
 ) -> list[tuple[float, float]]:
@@ -885,5 +879,5 @@ def attractor_points(
         count *= len(sys.level(n)[1])
         if count > cap:
             raise CapExceeded(f"{count} attractor points exceed cap {cap}")
-    ints, q = attractor_sums(sys, depth)
+    ints, q = digit_expansion(attractor_stages(sys, depth))
     return [(x / q, y / q) for x, y in ints]

@@ -23,7 +23,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional, Sequence
 
 from .classify import SPECTRAL, classify_thm16, thm16_shape
@@ -33,6 +32,7 @@ from .lattice import (
     digit_expansion,
     distinct_differences,
     over_common_denominator,
+    stage_numerators,
 )
 from .mask import TWO_PI, _vanishes, is_hadamard_triple
 from .moran import (
@@ -305,14 +305,6 @@ def check_oracle_level(n: int, cap: int) -> None:
         raise CapExceeded(f"oracle level {n} outside 1..{cap}")
 
 
-def _stage_numerators(stages: list[list[Vec2]]) -> tuple[list[list[tuple[int, int]]], int]:
-    """Stage images (of `attractor_stages`) as integer numerators over their
-    one common denominator q, not reduced, stage by stage."""
-    nums, q = over_common_denominator(c for stage in stages for p in stage for c in p)
-    pairs = iter(zip(nums[::2], nums[1::2]))
-    return [list(islice(pairs, len(stage))) for stage in stages], q
-
-
 def _residue_counts(stages: list[list[tuple[int, int]]], dx: int, dy: int, q: int) -> dict[int, int]:
     """The counts of (s_1 + ... + s_n) . (dx, dy) mod q over the sumset of
     the stages, merged mod q after each stage: the work per stage is at most
@@ -349,15 +341,14 @@ def discrete_spectrum_oracle(
     residues, so memory stays O(size) for any q.
     """
     check_oracle_level(n, cap)
-    images = attractor_stages(sys, n)
-    atoms_i, _ = digit_expansion(images)
+    stages, qs = stage_numerators(attractor_stages(sys, n))
+    atoms_i, _ = digit_expansion(stages)
     size = len(atoms_i)
     if len(set(atoms_i)) != size:
         raise ValueError("level-n convolution atoms collide; weights would merge")
     pts_i, ql = digit_expansion([candidate])
     if len(pts_i) != size:
         raise ValueError(f"candidate has {len(pts_i)} points, expected {size}")
-    stages, qs = _stage_numerators(images)
     q = qs * ql
     unitary, largest = True, 0.0
     moduli: dict[frozenset, float] = {}  # count pattern -> |sum_k c_k e(k/q)|

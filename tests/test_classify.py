@@ -334,6 +334,15 @@ HYPOTHESIS_DETAILS = [
      f"{T14_NOTE}; T1.5: |det [[4, 0], [0, 4]]| = 16 is not 4; {T11_NOTHING}"),
     ("C5.1 scaled", classify, (cor51_system(d2=StructuredDigitSet((1, 2), (0, 1))),),
      f"{T14_NOTE}; T1.5: digit sets are not all scales of the canonical set; {T11_NOTHING}"),
+    # A T1.6 shape whose hypotheses fail: C5.1 runs next and stays silent.
+    ("T1.6 shape, tail det", classify,
+     (MoranSystem(((I2, scaled_canonical(3)),), ((I4, scaled_canonical(5)),)),),
+     "T1.4: |det [[2, 0], [0, 2]]| = 4 is not > 4; T1.6: |det [[4, 0], [0, 4]]| = 16 is not 4; "
+     f"T1.5: |det [[4, 0], [0, 4]]| = 16 is not 4; {T11_NOTHING}"),
+    ("T1.6 shape, first expanding", classify,
+     (MoranSystem(((Mat2(4, 0, 0, 1), scaled_canonical(3)),), ((I4, scaled_canonical(5)),)),),
+     "T1.4: |det [[4, 0], [0, 1]]| = 4 is not > 4; T1.6: matrix [[4, 0], [0, 1]] is not expanding; "
+     "T1.5: matrix [[4, 0], [0, 1]] is not expanding; T1.1: matrix [[4, 0], [0, 1]] is not expanding"),
 ]
 
 

@@ -42,6 +42,16 @@ word:
   t_values: 1 3 5
 """
 
+# Level digits beside a word block: two different systems in one config.
+WORD_AND_DIGITS = """\
+period:
+  matrix: 2 0 0 2
+  digits: generic 0,0 1,0 0,1 5,5
+word:
+  sigma_period: 2
+  t_values: 1 3
+"""
+
 ZERO_DIGIT = """\
 period:
   matrix: 2 0 0 2
@@ -154,6 +164,18 @@ class TestExitCodes:
     def test_parse_error_exit_3(self, tmp_path, capsys):
         assert main(["validate", write(tmp_path, "period:\n  matrix: x\n")]) == 3
         assert main(["validate", str(tmp_path / "missing.txt")]) == 3
+
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_word_with_level_digits_exit_3(self, tmp_path, capsys, command):
+        """The word supplies the digits, so a level's own `digits:` line is
+        refused at that line instead of silently dropped."""
+        with pytest.raises(ConfigError) as err:
+            parse_config(WORD_AND_DIGITS)
+        assert err.value.line == 3
+        assert main([command, write(tmp_path, WORD_AND_DIGITS)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: line 3: ")
 
     def test_empty_period_parse_error(self, tmp_path):
         assert main(["classify", write(tmp_path, "preperiod:\n  matrix: 2 0 0 2\n  digits: canonical\n")]) == 3

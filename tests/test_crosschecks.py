@@ -28,9 +28,11 @@ from moranspectra.lattice import (
     inverse_norm_below_one,
     inverse_norm_upper,
     is_expanding,
+    digit_expansion,
     operator_norm_upper,
     over_common_denominator,
     sqrt_upper,
+    stage_numerators,
 )
 from moranspectra.mask import (
     eval_mask,
@@ -44,7 +46,6 @@ from moranspectra.moran import (
     MoranSystem,
     ZeroCertificate,
     attractor_stages,
-    attractor_sums,
     conjugate_system,
     fourier,
     fourier_many,
@@ -55,7 +56,6 @@ from moranspectra.moran import (
 from moranspectra.spectra import (
     OrthogonalityResult,
     _residue_counts,
-    _stage_numerators,
     build_lattice_spectrum,
     build_tower,
     completeness_sum,
@@ -607,7 +607,7 @@ def test_oracle_matches_per_pair_unity_sums():
 
 def test_stage_counts_equal_flat_atom_counts():
     """The oracle's residue counts, merged mod q stage by stage, equal the
-    counts over the flat atoms of `attractor_sums` at levels 1-4, for integer
+    counts over the flat atoms of `digit_expansion` at levels 1-4, for integer
     and rational matrices and a translated digit set without 0."""
     translated = GenericDigitSet(tuple((x + 3, y - 2) for x, y in D0.points()))
     systems = {name: CROSS_SYSTEMS[name] for name in ("2I", "shear", "4224", "9to3")}
@@ -617,8 +617,8 @@ def test_stage_counts_equal_flat_atom_counts():
     rng = random.Random(707)
     for name, sysm in systems.items():
         for level in (1, 2, 3, 4):
-            stages, qs = _stage_numerators(attractor_stages(sysm, level))
-            atoms, qa = attractor_sums(sysm, level)
+            stages, qs = stage_numerators(attractor_stages(sysm, level))
+            atoms, qa = digit_expansion(attractor_stages(sysm, level))
             for ql in (1, 3, 10):
                 q = qs * ql
                 for _ in range(10):

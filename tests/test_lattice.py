@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from moranspectra.lattice import (
     Mat2,
+    digit_expansion,
     in_gl2_2z,
     inverse_norm_below_one,
     inverse_norm_upper,
@@ -16,6 +18,7 @@ from moranspectra.lattice import (
     mat_product,
     operator_norm_upper,
     sqrt_upper,
+    stage_numerators,
 )
 
 I = Mat2.identity()
@@ -131,3 +134,23 @@ def test_certified_norm_bounds_dominate_svd(m):
     # and they are tight to a relative 1e-6
     assert float(operator_norm_upper(m)) <= sig.max() * (1 + 1e-6)
     assert float(inverse_norm_upper(m)) <= (1.0 / sig.min()) * (1 + 1e-6)
+
+
+small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+stage_lists = st.lists(
+    st.lists(st.tuples(small_fracs, small_fracs), min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+@given(stage_lists)
+def test_digit_expansion_is_the_product_sumset(stages):
+    """Against Fraction sums over itertools.product, first stage slowest; the
+    integer stages of `stage_numerators` expand to the same points times q."""
+    sums = [tuple(map(sum, zip(*choice))) for choice in itertools.product(*stages)]
+    ints, q = digit_expansion(stages)
+    assert [(Fraction(x, q), Fraction(y, q)) for x, y in ints] == sums
+    assert q == math.lcm(*(c.denominator for p in sums for c in p))
+    scaled, qs = stage_numerators(stages)
+    assert [len(s) for s in scaled] == [len(s) for s in stages]
+    assert qs == math.lcm(*(c.denominator for s in stages for p in s for c in p))
+    assert [[(Fraction(x, qs), Fraction(y, qs)) for x, y in s] for s in scaled] == stages
+    assert [(x * q, y * q) for x, y in digit_expansion(scaled)[0]] == [(x * qs, y * qs) for x, y in ints]

@@ -1,6 +1,8 @@
 """The package's public names, pinned: an addition or removal in
 `moranspectra.__all__` has to show up as a reviewed change to this list."""
 
+import importlib
+
 import moranspectra
 
 PUBLIC_API = [
@@ -23,3 +25,11 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(moranspectra.__all__) == PUBLIC_API
+
+
+def test_classify_name_is_the_function():
+    """`moranspectra.classify` is the function; the module of the same name
+    stays reachable by its import path (the benchmark tracer wraps it)."""
+    module = importlib.import_module("moranspectra.classify")
+    assert callable(moranspectra.classify) and moranspectra.classify is module.classify
+    assert module.RULES[0] is moranspectra.classify_thm14
