@@ -144,7 +144,8 @@ stage_lists = st.lists(
 @given(stage_lists)
 def test_digit_expansion_is_the_product_sumset(stages):
     """Against Fraction sums over itertools.product, first stage slowest; the
-    integer stages of `stage_numerators` expand to the same points times q."""
+    integer stages of `stage_numerators` expand to the same points over the
+    unreduced common denominator qs."""
     sums = [tuple(map(sum, zip(*choice))) for choice in itertools.product(*stages)]
     ints, q = digit_expansion(stages)
     assert [(Fraction(x, q), Fraction(y, q)) for x, y in ints] == sums
@@ -153,4 +154,5 @@ def test_digit_expansion_is_the_product_sumset(stages):
     assert [len(s) for s in scaled] == [len(s) for s in stages]
     assert qs == math.lcm(*(c.denominator for s in stages for p in s for c in p))
     assert [[(Fraction(x, qs), Fraction(y, qs)) for x, y in s] for s in scaled] == stages
-    assert [(x * q, y * q) for x, y in digit_expansion(scaled)[0]] == [(x * qs, y * qs) for x, y in ints]
+    rescaled = [(x * q, y * q) for x, y in digit_expansion(scaled)[0]]
+    assert rescaled == [(x * qs, y * qs) for x, y in ints]
