@@ -17,8 +17,10 @@ indentation under section headers:
 Digit specs: `canonical` | `scaled T` | `structured A1 A2 B1 B2` |
 `generic x,y x,y ...`.  A `word:` block (`sigma_preperiod: 2`,
 `sigma_period: 3`, `t_values: 1 3 5`) supplies the digit scales, so its
-level blocks hold matrices only.  All numbers are exact; companion points
-accept rationals like `1/2,3/2`.  Parse errors carry the line number.
+level blocks hold matrices only; without one, every level needs `digits:`.
+A level with neither is refused at its `matrix:` line, one with both at its
+`digits:` line.  All numbers are exact; companion points accept rationals
+like `1/2,3/2`.  Parse errors carry the line number.
 """
 
 from __future__ import annotations
@@ -80,19 +82,16 @@ class SystemConfig:
                 [l.matrix for l in self.preperiod],
                 [l.matrix for l in self.period],
             )
-        levels = []
-        for l in self.preperiod + self.period:
-            if l.digits is None:
-                raise ValueError("level without digits needs a word: block")
-            levels.append((l.matrix, l.digits))
-        p = len(self.preperiod)
-        return MoranSystem(levels[:p], levels[p:])
+        return MoranSystem(
+            [(l.matrix, l.digits) for l in self.preperiod],
+            [(l.matrix, l.digits) for l in self.period],
+        )
 
 
-def _parse_ints(text: str, line: int, expect: Optional[int] = None) -> list[int]:
+def _parse_ints(text: str, line: int, expect: Optional[int] = None) -> tuple[int, ...]:
     parts = text.split()
     try:
-        vals = [int(p) for p in parts]
+        vals = tuple(map(int, parts))
     except ValueError:
         raise ConfigError(line, f"expected integers, got {text!r}")
     if expect is not None and len(vals) != expect:
@@ -101,8 +100,7 @@ def _parse_ints(text: str, line: int, expect: Optional[int] = None) -> list[int]
 
 
 def _parse_matrix(text: str, line: int) -> Mat2:
-    a, b, c, d = _parse_ints(text, line, expect=4)
-    return Mat2(a, b, c, d)
+    return Mat2(*_parse_ints(text, line, expect=4))
 
 
 def _parse_point(tok: str, line: int) -> tuple[Fraction, Fraction]:
@@ -145,42 +143,39 @@ def _parse_digits(text: str, line: int) -> DigitSet:
     )
 
 
-_SECTIONS = ("preperiod", "period", "word", "hadamard")
+def _parse_companions(text: str, line: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    return tuple(_parse_point(tok, line) for tok in text.split())
+
+
+# Each section's noun for error messages and one value parser per key.
+_LEVEL_KEYS = ("level", {"matrix": _parse_matrix, "digits": _parse_digits})
+_KEYS = {
+    "preperiod": _LEVEL_KEYS,
+    "period": _LEVEL_KEYS,
+    "word": ("word", dict.fromkeys(("sigma_preperiod", "sigma_period", "t_values"), _parse_ints)),
+    "hadamard": ("hadamard", {"matrix": _parse_matrix, "digits": _parse_digits,
+                              "companions": _parse_companions}),
+}
 
 
 def parse_config(text: str) -> SystemConfig:
     cfg = SystemConfig()
     section: Optional[str] = None
-    word_fields: dict[str, tuple[int, ...]] = {}
-    word_line = 0
-    had_fields: dict[str, object] = {}
-    had_line = digits_line = 0
-    pending_matrix: Optional[Mat2] = None
-
-    def close_level(line: int) -> None:
-        nonlocal pending_matrix
-        if pending_matrix is not None:
-            target = cfg.preperiod if section == "preperiod" else cfg.period
-            target.append(LevelSpec(pending_matrix, None))
-            pending_matrix = None
-
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
+    header_line: dict[str, int] = {}
+    fields: dict[str, dict] = {"word": {}, "hadamard": {}}
+    levels_at: dict[int, LevelSpec] = {}  # each level, by its matrix: line
+    open_level: Optional[LevelSpec] = None
+    digits_line = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped.strip():
             continue
         if not raw.startswith((" ", "\t")):
             head = stripped.strip()
-            if not head.endswith(":") or head[:-1] not in _SECTIONS:
-                raise ConfigError(
-                    lineno, f"expected a section header {_SECTIONS}, got {head!r}"
-                )
-            close_level(lineno)
-            section = head[:-1]
-            if section == "word":
-                word_line = lineno
-            if section == "hadamard":
-                had_line = lineno
+            if not head.endswith(":") or head[:-1] not in _KEYS:
+                raise ConfigError(lineno, f"expected a section header {tuple(_KEYS)}, got {head!r}")
+            section, open_level = head[:-1], None
+            header_line[section] = lineno
             continue
         if section is None:
             raise ConfigError(lineno, "content before any section header")
@@ -189,59 +184,42 @@ def parse_config(text: str) -> SystemConfig:
             raise ConfigError(lineno, f"expected 'key: value', got {body!r}")
         key, _, value = body.partition(":")
         key, value = key.strip(), value.strip()
+        noun, parsers = _KEYS[section]
+        if key not in parsers:
+            raise ConfigError(lineno, f"unknown {noun} key {key!r}")
+        if noun == "level" and key == "digits" and open_level is None:
+            raise ConfigError(lineno, "digits: without a preceding matrix:")
+        parsed = parsers[key](value, lineno)
+        if noun != "level":
+            fields[section][key] = parsed
+        elif key == "matrix":
+            open_level = levels_at[lineno] = LevelSpec(parsed, None)
+            getattr(cfg, section).append(open_level)
+        else:
+            open_level.digits, open_level = parsed, None
+            digits_line = digits_line or lineno
 
-        if section in ("preperiod", "period"):
-            if key == "matrix":
-                close_level(lineno)
-                pending_matrix = _parse_matrix(value, lineno)
-            elif key == "digits":
-                if pending_matrix is None:
-                    raise ConfigError(lineno, "digits: without a preceding matrix:")
-                target = cfg.preperiod if section == "preperiod" else cfg.period
-                target.append(LevelSpec(pending_matrix, _parse_digits(value, lineno)))
-                pending_matrix = None
-                digits_line = digits_line or lineno
-            else:
-                raise ConfigError(lineno, f"unknown level key {key!r}")
-        elif section == "word":
-            if key in ("sigma_preperiod", "sigma_period", "t_values"):
-                word_fields[key] = tuple(_parse_ints(value, lineno))
-            else:
-                raise ConfigError(lineno, f"unknown word key {key!r}")
-        elif section == "hadamard":
-            if key == "matrix":
-                had_fields["matrix"] = _parse_matrix(value, lineno)
-            elif key == "digits":
-                had_fields["digits"] = _parse_digits(value, lineno)
-            elif key == "companions":
-                had_fields["companions"] = tuple(
-                    _parse_point(tok, lineno) for tok in value.split()
-                )
-            else:
-                raise ConfigError(lineno, f"unknown hadamard key {key!r}")
-    close_level(len(lines))
-
-    if word_fields and digits_line:
+    word, had = fields["word"], fields["hadamard"]
+    if word and digits_line:
         raise ConfigError(digits_line, "level digits: conflict with the word: block's scales")
-    if word_fields:
-        missing = {"sigma_period", "t_values"} - set(word_fields)
+    if word:
+        missing = {"sigma_period", "t_values"} - set(word)
         if missing:
-            raise ConfigError(word_line, f"word block missing {sorted(missing)}")
+            raise ConfigError(header_line["word"], f"word block missing {sorted(missing)}")
         try:
             cfg.word = TWord(
-                word_fields.get("sigma_preperiod", ()),
-                word_fields["sigma_period"],
-                word_fields["t_values"],
+                word.get("sigma_preperiod", ()), word["sigma_period"], word["t_values"]
             )
         except ValueError as exc:
-            raise ConfigError(word_line, str(exc))
-    if had_fields:
-        missing = {"matrix", "digits", "companions"} - set(had_fields)
+            raise ConfigError(header_line["word"], str(exc))
+    if had:
+        missing = {"matrix", "digits", "companions"} - set(had)
         if missing:
-            raise ConfigError(had_line, f"hadamard block missing {sorted(missing)}")
-        cfg.hadamard = HadamardSpec(
-            had_fields["matrix"], had_fields["digits"], had_fields["companions"]
-        )
+            raise ConfigError(header_line["hadamard"], f"hadamard block missing {sorted(missing)}")
+        cfg.hadamard = HadamardSpec(**had)
+    bare = [line for line, level in levels_at.items() if level.digits is None]
+    if bare and cfg.word is None:
+        raise ConfigError(bare[0], "level without digits needs a word: block")
     return cfg
 
 

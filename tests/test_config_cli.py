@@ -22,9 +22,14 @@ from moranspectra.config import (
     format_config,
     parse_config,
 )
-from moranspectra.digitsets import GenericDigitSet, canonical_digits, scaled_canonical
+from moranspectra.digitsets import (
+    GenericDigitSet,
+    StructuredDigitSet,
+    canonical_digits,
+    scaled_canonical,
+)
 from moranspectra.lattice import Mat2
-from moranspectra.moran import TWord, fourier
+from moranspectra.moran import MoranSystem, TWord, fourier, realize_word_system
 from moranspectra.spectra import build_tower, completeness_report
 
 CONST_2I = """\
@@ -150,6 +155,78 @@ def test_round_trip(cfg):
     assert parse_config(format_config(cfg)) == cfg
 
 
+small = st.integers(-6, 6)
+odd = st.integers(-4, 4).map(lambda k: 2 * k + 1)
+matrices = st.builds(Mat2, small, small, small, small)
+digit_sets = st.one_of(
+    st.just(canonical_digits()),
+    odd.map(scaled_canonical),
+    st.tuples(small, small, small, small)
+    .filter(lambda v: (v[0] * v[3] - v[1] * v[2]) % 2 == 1)
+    .map(lambda v: StructuredDigitSet(v[:2], v[2:])),
+    st.lists(st.tuples(small, small), min_size=1, max_size=5, unique=True)
+    .map(lambda pts: GenericDigitSet(tuple(pts))),
+)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+hadamard_specs = st.builds(
+    HadamardSpec,
+    matrices,
+    digit_sets,
+    st.lists(st.tuples(rationals, rationals), max_size=4).map(tuple),
+)
+
+
+@st.composite
+def system_configs(draw):
+    """A config over 0-2 preperiod and 1-3 period levels whose digits come
+    either from each level or from a word, with an optional hadamard block."""
+    n_pre, n_per = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    word = None
+    if draw(st.booleans()):
+        t_values = tuple(draw(st.lists(odd.map(abs), min_size=1, max_size=3)))
+        letters = st.integers(1, len(t_values))
+        word = TWord(
+            tuple(draw(st.lists(letters, max_size=2))),
+            tuple(draw(st.lists(letters, min_size=1, max_size=3))),
+            t_values,
+        )
+    levels = [
+        LevelSpec(draw(matrices), None if word else draw(digit_sets))
+        for _ in range(n_pre + n_per)
+    ]
+    hadamard = draw(st.none() | hadamard_specs)
+    return SystemConfig(levels[:n_pre], levels[n_pre:], word, hadamard)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system_configs())
+def test_config_means_one_system(cfg):
+    """Every generated config round-trips, and means the system of its
+    levels, or of its word over its matrices; removing one level's digits
+    from a config without a word is refused at that level's matrix line."""
+    text = format_config(cfg)
+    parsed = parse_config(text)
+    assert parsed == cfg
+    if cfg.word is not None:
+        expected = realize_word_system(
+            cfg.word, [l.matrix for l in cfg.preperiod], [l.matrix for l in cfg.period]
+        )
+    else:
+        expected = MoranSystem(
+            [(l.matrix, l.digits) for l in cfg.preperiod],
+            [(l.matrix, l.digits) for l in cfg.period],
+        )
+    assert parsed.system() == expected
+    lines = text.splitlines()
+    levels_end = lines.index("hadamard:") if cfg.hadamard else len(lines)
+    digits_at = [i for i in range(levels_end) if lines[i].startswith("  digits:")]
+    assert len(digits_at) == (0 if cfg.word else len(cfg.preperiod) + len(cfg.period))
+    for i in digits_at:
+        with pytest.raises(ConfigError) as err:
+            parse_config("\n".join(lines[:i] + lines[i + 1:]))
+        assert err.value.line == i  # the matrix: line just above, 1-based
+
+
 class TestExitCodes:
     def test_validate_ok(self, tmp_path, capsys):
         assert main(["validate", write(tmp_path, CONST_2I)]) == 0
@@ -176,6 +253,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("parse error: line 3: ")
+
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_level_without_digits_exit_3(self, tmp_path, capsys, command):
+        """Without a word, a level with no digits: line is refused at its
+        matrix: line, before any command runs."""
+        assert main([command, write(tmp_path, "period:\n  matrix: 2 0 0 2\n")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: line 2: ")
 
     def test_empty_period_parse_error(self, tmp_path):
         assert main(["classify", write(tmp_path, "preperiod:\n  matrix: 2 0 0 2\n  digits: canonical\n")]) == 3
@@ -482,6 +568,28 @@ class TestDeterminism:
             raise AssertionError("no JSON block")
 
         assert block(first) == block(second)
+
+    @pytest.mark.parametrize("body, argv, nulls", [
+        ("period:\n  matrix: 1 0 0 2\n  digits: canonical\n", ["validate"],
+         {"results": ("iota", "existence_bound")}),
+        ("period:\n  matrix: 2 1000000 0 2\n  digits: canonical\n",
+         ["fourier", "--xi", "0.3,0.7"], {"truncation": ("bound", "rounding")}),
+    ], ids=["validate", "fourier"])
+    def test_infinite_numbers_are_null(self, tmp_path, capsys, body, argv, nulls):
+        """The block is standard JSON: an infinite number is null there and
+        stays `inf` in the human-readable lines."""
+        main([argv[0], write(tmp_path, body), *argv[1:]])
+        out = capsys.readouterr().out
+
+        def refuse(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        line = next(l for l in out.splitlines() if l.startswith("{"))
+        block = json.loads(line, parse_constant=refuse)
+        for part, keys in nulls.items():
+            for key in keys:
+                assert block[part][key] is None
+        assert "inf" in out.split("-- report --")[0]
 
 
 # --- fuzzing the command line -------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from moranspectra.classify import NOT_SPECTRAL, classify, classify_thm14
-from moranspectra.config import parse_config
+from moranspectra.config import ConfigError, parse_config
 from moranspectra.digitsets import canonical_digits, scaled_canonical
 from moranspectra.lattice import Mat2
 from moranspectra.moran import (
@@ -101,9 +101,9 @@ class TestFourierTolerances:
 
 class TestConfigCorners:
     def test_matrix_without_digits_needs_word(self):
-        cfg = parse_config("period:\n  matrix: 2 0 0 2\n")
-        with pytest.raises(ValueError):
-            cfg.system()
+        with pytest.raises(ConfigError) as err:
+            parse_config("period:\n  matrix: 2 0 0 2\n")
+        assert err.value.line == 2
 
     def test_rational_companions_parse(self):
         cfg = parse_config(
