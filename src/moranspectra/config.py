@@ -19,8 +19,9 @@ Digit specs: `canonical` | `scaled T` | `structured A1 A2 B1 B2` |
 `sigma_period: 3`, `t_values: 1 3 5`) supplies the digit scales, so its
 level blocks hold matrices only; without one, every level needs `digits:`.
 A level with neither is refused at its `matrix:` line, one with both at its
-`digits:` line.  All numbers are exact; companion points accept rationals
-like `1/2,3/2`.  Parse errors carry the line number.
+`digits:` line.  A `period:`, `word:` or `hadamard:` header with nothing
+under it is refused at its own line.  All numbers are exact; companion
+points accept rationals like `1/2,3/2`.  Parse errors carry the line number.
 """
 
 from __future__ import annotations
@@ -199,10 +200,12 @@ def parse_config(text: str) -> SystemConfig:
             open_level.digits, open_level = parsed, None
             digits_line = digits_line or lineno
 
+    if "period" in header_line and not cfg.period:
+        raise ConfigError(header_line["period"], "period: block has no levels")
     word, had = fields["word"], fields["hadamard"]
-    if word and digits_line:
+    if "word" in header_line and digits_line:
         raise ConfigError(digits_line, "level digits: conflict with the word: block's scales")
-    if word:
+    if "word" in header_line:
         missing = {"sigma_period", "t_values"} - set(word)
         if missing:
             raise ConfigError(header_line["word"], f"word block missing {sorted(missing)}")
@@ -212,7 +215,7 @@ def parse_config(text: str) -> SystemConfig:
             )
         except ValueError as exc:
             raise ConfigError(header_line["word"], str(exc))
-    if had:
+    if "hadamard" in header_line:
         missing = {"matrix", "digits", "companions"} - set(had)
         if missing:
             raise ConfigError(header_line["hadamard"], f"hadamard block missing {sorted(missing)}")

@@ -29,6 +29,7 @@ from .classify import SPECTRAL, classify_thm16, thm16_shape
 from .lattice import (
     Mat2,
     Vec2,
+    difference_set,
     digit_expansion,
     distinct_differences,
     over_common_denominator,
@@ -193,10 +194,13 @@ def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> Orthogonal
     The points are scaled once to integer numerators over one common
     denominator q.  The zero set is symmetric under negation, so each
     distinct sign-canonical difference is certified once, by the zero scan
-    of `fourier_zero_exact`, in order of first appearance along the pair
-    walk (i < j, row by row), and the walk stops at the first failure.  The
-    result is that of the pair walk: the first failing pair in enumeration
-    order, the pairs walked up to it, and the distinct differences met.
+    of `fourier_zero_exact`.  A dense set first scans the differences of
+    `difference_set` in any order; if all pass, every pair is certified.
+    Otherwise, and for a set too sparse for the bitset, the differences are
+    scanned in order of first appearance along the pair walk (i < j, row by
+    row), and the walk stops at the first failure.  Either way the result is
+    that of the pair walk: the first failing pair in enumeration order, the
+    pairs walked up to it, and the distinct differences met.
     """
     ints, q = digit_expansion([points])
     if len(set(ints)) != len(ints):
@@ -206,6 +210,9 @@ def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> Orthogonal
         # No difference to certify, so the system is not analysed either.
         return OrthogonalityResult(True, None, 0, 0)
     ana = _analysis(sys)
+    diffs = difference_set(ints)
+    if diffs is not None and all(_zero_scan(ana, dx, dy, q) is not None for dx, dy in diffs):
+        return OrthogonalityResult(True, None, n * (n - 1) // 2, len(diffs))
     distinct = 0
     for i, dx, dy in distinct_differences(ints):
         distinct += 1

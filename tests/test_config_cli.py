@@ -263,9 +263,28 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("parse error: line 2: ")
 
-    def test_empty_period_parse_error(self, tmp_path):
+    def test_empty_period_parse_error(self, tmp_path, capsys):
         assert main(["classify", write(tmp_path, "preperiod:\n  matrix: 2 0 0 2\n  digits: canonical\n")]) == 3
         assert main(["validate", write(tmp_path, "period:\n")]) == 3
+        # A period: header with no levels is refused at its own line.
+        assert capsys.readouterr().err.endswith("parse error: line 1: period: block has no levels\n")
+        assert main(["validate", write(tmp_path, "# empty\nperiod:\n")]) == 3
+        assert capsys.readouterr().err == "parse error: line 2: period: block has no levels\n"
+
+    @pytest.mark.parametrize("text, line, noun", [
+        ("period:\n  matrix: 2 0 0 2\nword:\n", 3, "word"),
+        (CONST_2I + "hadamard:\n", 4, "hadamard"),
+        ("hadamard:\n" + CONST_2I, 1, "hadamard"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "hadamard"])
+    def test_bare_header_exit_3(self, tmp_path, capsys, text, line, noun, command):
+        """A word: or hadamard: header with no keys is a block missing every
+        required key, cited at the header, not a block that is not there."""
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line == line
+        assert main([command, write(tmp_path, text)]) == 3
+        assert capsys.readouterr().err.startswith(f"parse error: line {line}: {noun} block missing [")
 
     def test_classify_check(self, tmp_path):
         assert main(["classify", write(tmp_path, WORD_23), "--check"]) == 1

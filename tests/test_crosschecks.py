@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -25,10 +26,12 @@ from moranspectra.digitsets import (
 )
 from moranspectra.lattice import (
     Mat2,
+    difference_set,
+    digit_expansion,
+    distinct_differences,
     inverse_norm_below_one,
     inverse_norm_upper,
     is_expanding,
-    digit_expansion,
     operator_norm_upper,
     over_common_denominator,
     sqrt_upper,
@@ -424,6 +427,8 @@ CROSS_SYSTEMS = {
     "mixed": MIXED,
 }
 UNIMODULAR = (Mat2(1, 1, 0, 1), Mat2(2, 1, 1, 1), Mat2(0, -1, 1, 0))
+# The systems of the certify benchmark; its conjugators are UNIMODULAR[:2].
+CERTIFY = ("2I", "4I", "shear", "4224", "9to3")
 
 
 def _planted(rng, points, denominators=range(3, 20)):
@@ -480,6 +485,21 @@ def test_orthogonality_matches_fraction_pair_walk():
         assert got == _reference_orthogonality(CROSS_SYSTEMS["2I"], pts)
         outcomes.add(got.ok)
     assert outcomes == {True, False}
+    # Depth-4 towers shifted at the first, middle and last point.  The 2I
+    # and 9to3 sets stay under the bitset's guard, so their failure is met
+    # in the bitset pass and reported by the ordered walk after it.
+    routes = set()
+    for name in CERTIFY:
+        for q, shift in zip(UNIMODULAR, ((Fraction(1, 11), 0), (0, Fraction(1, 13)))):
+            sysm = conjugate_system(CROSS_SYSTEMS[name], q)
+            tower = enumerate_tower(build_tower(sysm), 4)
+            for i in (0, len(tower) // 2, len(tower) - 1):
+                pts = list(tower)
+                pts[i] = (pts[i][0] + shift[0], pts[i][1] + shift[1])
+                got = verify_orthogonality(sysm, pts)
+                assert not got.ok and got == _reference_orthogonality(sysm, pts), (name, q, i)
+                routes.add(difference_set(digit_expansion([pts])[0]) is not None)
+    assert routes == {True, False}
     for name, (sys_name, pts, pairs, ok) in EDGE_WALKS.items():
         sysm = CROSS_SYSTEMS[sys_name]
         got = verify_orthogonality(sysm, pts)
@@ -487,6 +507,33 @@ def test_orthogonality_matches_fraction_pair_walk():
         assert (got.pairs_checked, got.ok) == (pairs, ok), name
     # No pair, no zero scan: even a system the scan rejects passes.
     assert verify_orthogonality(MoranSystem.constant(Mat2(2, 1, 1, 2), D0), [(0, 0)]).ok
+
+
+def test_difference_set_path():
+    """Every certify tower (depth 4, both conjugators) and the box-8 and
+    box-32 lattices take the bitset, which holds the walk's differences.
+    The [[4,2],[2,4]] depth-5 tower (42,513 bits per point) and the EDGE_WALKS
+    numerators past 2^63 are refused before any bitset is built."""
+    for name in CERTIFY:
+        for q in UNIMODULAR[:2]:
+            tower = enumerate_tower(build_tower(conjugate_system(CROSS_SYSTEMS[name], q)), 4)
+            ints = digit_expansion([tower])[0]
+            walk = sorted((dx, dy) for _, dx, dy in distinct_differences(ints))
+            assert sorted(difference_set(ints)) == walk, (name, q)
+    for box, count in ((8, 544), (32, 8320)):
+        ints = digit_expansion([build_lattice_spectrum(CROSS_SYSTEMS["2I"], box)])[0]
+        assert len(difference_set(ints)) == count
+    sparse = (enumerate_tower(build_tower(CROSS_SYSTEMS["4224"]), 5),
+              EDGE_WALKS["numerators past 2^63"][1])
+    for pts in sparse:
+        ints = digit_expansion([pts])[0]
+        tracemalloc.start()
+        try:
+            assert difference_set(ints) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18  # the depth-5 bitset alone would be 5.4 MB
 
 
 def _first_appearances(points):
@@ -502,8 +549,11 @@ def _first_appearances(points):
 
 
 def test_orthogonality_scans_each_difference_once_in_order(monkeypatch):
-    """The zero scan runs once per distinct difference, in order of first
-    appearance, and not after the first failure."""
+    """A set the bitset takes scans each distinct difference once, in any
+    order, if it is orthogonal.  If it is not, the bitset pass (distinct
+    differences up to the first failing one) is followed by the ordered
+    walk: the differences in order of first appearance up to the first
+    failure, and no further.  A set over the guard scans the walk alone."""
     from moranspectra import spectra
 
     scanned = []
@@ -517,22 +567,37 @@ def test_orthogonality_scans_each_difference_once_in_order(monkeypatch):
     shear = CROSS_SYSTEMS["shear"]
     tower = enumerate_tower(build_tower(shear), 3)
     cases = [(shear, tower), *((shear, _planted(rng, tower)) for _ in range(4))]
+    tower_2i = enumerate_tower(build_tower(CROSS_SYSTEMS["2I"]), 3)
+    for i in (0, 40):  # shifted by 1/11, the set stays under the guard
+        pts = list(tower_2i)
+        pts[i] = (pts[i][0] + Fraction(1, 11), pts[i][1])
+        cases.append((CROSS_SYSTEMS["2I"], pts))
     cases += [(CROSS_SYSTEMS[name], pts) for name, pts, _, _ in EDGE_WALKS.values()]
-    failures = 0
+    failures = {True: 0, False: 0}  # by whether the bitset was taken
     for sysm, pts in cases:
         if len(set(pts)) != len(pts):
             continue
         scanned.clear()
         got = verify_orthogonality(sysm, pts)
         order = _first_appearances(pts)
-        assert scanned == order[:got.distinct_differences]
+        dense = difference_set(digit_expansion([pts])[0]) is not None
         if got.ok:
-            assert len(scanned) == len(order)
+            assert got.distinct_differences == len(order)
+            assert (sorted(scanned) == sorted(order)) if dense else (scanned == order)
+            continue
+        failures[dense] += 1
+        cut = len(scanned) - got.distinct_differences
+        bitset_pass, walk = scanned[:cut], scanned[cut:]
+        assert walk == order[:got.distinct_differences]
+        assert fourier_zero_exact(sysm, walk[-1]) is None
+        assert all(fourier_zero_exact(sysm, d) is not None for d in walk[:-1])
+        if dense:
+            assert len(set(bitset_pass)) == len(bitset_pass) and set(bitset_pass) <= set(order)
+            assert fourier_zero_exact(sysm, bitset_pass[-1]) is None
+            assert all(fourier_zero_exact(sysm, d) is not None for d in bitset_pass[:-1])
         else:
-            failures += 1
-            assert fourier_zero_exact(sysm, scanned[-1]) is None
-            assert all(fourier_zero_exact(sysm, d) is not None for d in scanned[:-1])
-    assert failures >= 3
+            assert bitset_pass == []
+    assert failures[True] >= 2 and failures[False] >= 3
 
 
 def test_zero_certificates_match_fraction_scan():

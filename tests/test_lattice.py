@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from moranspectra.lattice import (
     Mat2,
+    difference_set,
     digit_expansion,
+    distinct_differences,
     in_gl2_2z,
     inverse_norm_below_one,
     inverse_norm_upper,
@@ -156,3 +158,47 @@ def test_digit_expansion_is_the_product_sumset(stages):
     assert [[(Fraction(x, qs), Fraction(y, qs)) for x, y in s] for s in scaled] == stages
     rescaled = [(x * q, y * q) for x, y in digit_expansion(scaled)[0]]
     assert rescaled == [(x * qs, y * qs) for x, y in ints]
+
+
+@st.composite
+def spread_sets(draw):
+    """2 to 24 distinct integer points of an (a + 1) x (b + 1) box at an
+    offset that may be negative; a = 0 is one column, b = 0 one row (h = 0,
+    W = 1).  Up to 24 points and a, b <= 120 put sets on both sides of the
+    512 bits per point guard."""
+    a, b = draw(st.integers(0, 120)), draw(st.integers(0, 120))
+    assume(a + b > 0)
+    pts = draw(st.lists(st.tuples(st.integers(0, a), st.integers(0, b)),
+                        min_size=2, max_size=24, unique=True))
+    ox, oy = draw(st.integers(-200, 200)), draw(st.integers(-200, 200))
+    return [(x + ox, y + oy) for x, y in pts]
+
+
+@given(spread_sets())
+@example([(0, 0), (1024, 0)])  # a span of 512 bits per point: the bitset
+@example([(0, 0), (1025, 0)])  # one bit more: the stream
+@example([(-7, 3), (-7, -1021)])  # one column, W = 2 * 1024 + 1
+@example([(-3, -5), (2, 7), (-3, 7), (0, 0)])
+def test_difference_set_is_the_walks_set(pts):
+    """Whenever the bitset is taken, it holds exactly the distinct
+    sign-canonical differences of the ordered walk, each once; it is taken
+    exactly when the span of z = x W + (y - min y) is at most 512 bits per
+    point (the 2^22 cap binds only past 8,192 points)."""
+    y0 = min(y for _, y in pts)
+    w = 2 * (max(y for _, y in pts) - y0) + 1
+    zs = [x * w + y - y0 for x, y in pts]
+    got = difference_set(pts)
+    assert (got is None) == (max(zs) - min(zs) > 512 * len(pts))
+    if got is not None:
+        assert len(got) == len(set(got))
+        assert set(got) == {(dx, dy) for _, dx, dy in distinct_differences(pts)}
+
+
+def test_difference_set_cap():
+    """Past 8,192 points the cap of 2^22 bits binds before 512 bits per
+    point: a row of 8,193 points spanning 2^22 takes the bitset, one
+    spanning 2^22 + 1 does not."""
+    row = [(x, 0) for x in range(8192)]
+    got = difference_set(row + [(2**22, 0)])
+    assert sorted(got) == [(d, 0) for d in range(1, 8192)] + [(d, 0) for d in range(2**22 - 8191, 2**22 + 1)]
+    assert difference_set(row + [(2**22 + 1, 0)]) is None
