@@ -69,10 +69,13 @@ class SystemConfig:
     period: list[LevelSpec] = field(default_factory=list)
     word: Optional[TWord] = None
     hadamard: Optional[HadamardSpec] = None
+    # The line a config without period levels is refused at: its
+    # preperiod: header's, or 1 when it has none.
+    _no_period_line: int = field(default=1, repr=False, compare=False)
 
     def require_period(self) -> None:
         if not self.period:
-            raise ConfigError(0, "config has no period levels")
+            raise ConfigError(self._no_period_line, "config has no period levels")
 
     def system(self) -> MoranSystem:
         """The Moran system this config describes (realizing a word if given)."""
@@ -202,6 +205,7 @@ def parse_config(text: str) -> SystemConfig:
 
     if "period" in header_line and not cfg.period:
         raise ConfigError(header_line["period"], "period: block has no levels")
+    cfg._no_period_line = header_line.get("preperiod", 1)
     word, had = fields["word"], fields["hadamard"]
     if "word" in header_line and digits_line:
         raise ConfigError(digits_line, "level digits: conflict with the word: block's scales")

@@ -201,22 +201,3 @@ def is_hadamard_triple(m: Mat2, digits: DigitSet, companions: Sequence[Vec2]) ->
         zero(a * dx + b * dy, c * dx + d * dy, e * q) for _, dx, dy in distinct_differences(ints)
     )
 
-
-def partition_of_unity_residual(
-    m: Mat2, digits: DigitSet, companions: Sequence[Vec2], xi
-) -> float:
-    """| sum_{l in L} |m_D((M^*)^{-1}(xi + l))|^2  -  1 |  at a single xi.
-
-    For a Hadamard triple this is zero for every xi (rows of the unitary
-    exponential matrix have unit norm); the residual quantifies how far a
-    candidate triple is from that identity.
-    """
-    eta = m.transpose().inverse().as_float_rows()
-    x, y = float(xi[0]), float(xi[1])
-    total = 0.0
-    for lx, ly in companions:
-        px = eta[0][0] * (x + float(lx)) + eta[0][1] * (y + float(ly))
-        py = eta[1][0] * (x + float(lx)) + eta[1][1] * (y + float(ly))
-        val = eval_mask(digits, (px, py))
-        total += abs(val) ** 2
-    return abs(total - 1.0)

@@ -21,8 +21,9 @@ Two evaluation paths coexist:
                    plus an a priori bound on the float rounding of the
                    evaluation itself.  Both read one float level table built
                    by `_analysis` and stop at the level chosen by one
-                   truncation rule (`_truncation`), so a point gets the same
-                   levels and bound either way.
+                   truncation rule, tested at each anchor on the computed
+                   orbit (see `fourier`), so a point gets the same levels
+                   and bound either way.
                    `fourier` walks one point in a scalar loop;
                    `fourier_many` steps blocks of points level by level in
                    numpy (imported only there), which pays off from about
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -208,6 +208,8 @@ _FloatLevel = tuple[float, float, float, float, tuple[tuple[float, float], ...],
 @dataclass(frozen=True)
 class _Analysis:
     levels: EventuallyPeriodic[_LevelData]
+    # The float levels with the period unrolled to unrolled_len: the
+    # preperiod runs up to the first anchor, each period up to the next.
     float_levels: EventuallyPeriodic[_FloatLevel]
     # float(||M_n^{-1}|| upper bound) * (1 + 1e-12) per preperiod level: the
     # orbit bound's growth factor while the preperiod is walked.
@@ -221,9 +223,11 @@ class _Analysis:
     tail_linear: float
     tail_quadratic: float
     # Float rounding of a product of J levels at a point of norm r is at most
-    # rounding_per_norm * r + rounding_per_level * J (see `_truncation`).
+    # rounding_per_norm * r + rounding_per_level * J, and the computed orbit
+    # is within orbit * r of the exact one at every level (see `fourier`).
     rounding_per_norm: float
     rounding_per_level: float
+    orbit: float
     preperiod_len: int
     unrolled_len: int                 # anchor spacing: a multiple of the period
     period_growth_up: Fraction        # certified >= any consecutive-run norm
@@ -262,29 +266,33 @@ _EXP_ERROR = 6.0
 
 def _rounding_constants(
     gamma: float, n_max: int, alpha: float, nu0: float, runs: float
-) -> tuple[float, float]:
-    """(rounding_per_norm, rounding_per_level) of `_truncation`'s rounding
-    term.  gamma >= every digit norm, n_max the largest #D, alpha >= the
-    norm of every float level map with entries replaced by their moduli,
-    nu0 >= sum_{j>=0} ||eta_j|| / ||xi|| and runs >= sum_{j>=i} ||(M_j^* ...
-    M_{i+1}^*)^{-1}|| from any start level i.
+) -> tuple[float, float, float]:
+    """(rounding_per_norm, rounding_per_level, orbit) of the truncation rule
+    (see `fourier`).  gamma >= every digit norm, n_max the largest #D, alpha
+    >= the norm of every float level map with entries replaced by their
+    moduli, nu0 >= sum_{j>=0} ||eta_j|| / ||xi|| and runs >= sum_{j>=i}
+    ||(M_j^* ... M_{i+1}^*)^{-1}|| from any start level i.
 
     A step adds an orbit error of at most rho ||computed eta|| (two roundings
     per coordinate, plus the entries' own), and the error e_0 <= u ||xi|| of
     xi's float; each reaches the later levels through the maps, so the
     orbit errors E = sum_j ||e_j|| satisfy E <= runs (u ||xi|| (1 + rho) +
-    rho (nu0 ||xi|| + E)), solved for E / ||xi|| as `orbit`.  The margin
-    covers the (1 + O(u)) factors dropped here and the float evaluation of
-    these formulas."""
+    rho (nu0 ||xi|| + E)), solved for E / ||xi|| as `orbit`.  Every single
+    error is at most E, so ||computed eta_j|| + orbit ||xi|| bounds the
+    exact ||eta_j|| at every level; the truncation rule uses that bound
+    where it beats the a priori one.  orbit is inf, and so is
+    rounding_per_norm, when runs * rho >= 1/2 leaves the rounding without
+    control.  The margin covers the (1 + O(u)) factors dropped here and
+    the float evaluation of these formulas."""
     per_level = (_EXP_ERROR + 2.0 + math.sqrt(2.0) * (n_max + 1)) * _U
     # Partial products may exceed modulus 1 by the mask and product roundings.
     margin = (1.0 + 1e-6) * math.exp(2 * MAX_SCAN_LEVELS * per_level)
     rho = 3.0 * _U * alpha * (1.0 + 1e-9)
     if runs * rho >= 0.5:
-        return math.inf, margin * per_level
+        return math.inf, margin * per_level, math.inf
     orbit = runs * (_U * (1.0 + rho) + rho * nu0) / (1.0 - runs * rho)
     phases = TWO_PI * gamma * (5.0 * _U * (nu0 + orbit) + orbit)
-    return margin * phases, margin * per_level
+    return margin * phases, margin * per_level, orbit
 
 
 _NO_CONTRACTION = "period inverse products do not contract (no unrolling below 256 works)"
@@ -373,10 +381,10 @@ def _analysis(sys: MoranSystem) -> _Analysis:
     # From inside the periodic part: at most L - 1 runs of norm <= G up to
     # the next anchor, then G times that anchor's sums.
     runs_bound = max(runs_bound, 1.0 + float(growth) * (length - 1 + geo1))
-    per_norm, per_level = _rounding_constants(gamma, n_max, alpha, nu, runs_bound)
+    per_norm, per_level, orbit = _rounding_constants(gamma, n_max, alpha, nu, runs_bound)
     return _Analysis(
         levels=EventuallyPeriodic(levels[:p], levels[p:]),
-        float_levels=EventuallyPeriodic(float_levels[:p], float_levels[p:]),
+        float_levels=EventuallyPeriodic(float_levels[:p], float_levels[p:] * unroll),
         preperiod_growth=preperiod_growth,
         anchor_step=contraction * (1.0 + 1e-12),
         tail_factor=TWO_PI * gamma * geo1,
@@ -384,6 +392,7 @@ def _analysis(sys: MoranSystem) -> _Analysis:
         tail_quadratic=2.0 * math.pi**2 * cov * geo2,
         rounding_per_norm=per_norm,
         rounding_per_level=per_level,
+        orbit=orbit,
         preperiod_len=p,
         unrolled_len=length,
         period_growth_up=growth,
@@ -521,7 +530,7 @@ class FourierResult:
 
 
 def _is_exact_point(xi) -> bool:
-    return all(isinstance(c, (int, Fraction)) for c in xi)
+    return isinstance(xi[0], (int, Fraction)) and isinstance(xi[1], (int, Fraction))
 
 
 def _float_point(xi) -> tuple[float, float]:
@@ -536,67 +545,43 @@ def _float_point(xi) -> tuple[float, float]:
     return x, y
 
 
-def _truncation(ana: _Analysis, x: float, y: float, eps: float) -> tuple[int, float, float]:
-    """The truncation level J of the product at xi = (x, y), its certified
-    error bound (tail plus rounding) and the rounding part of that bound.
-    J is the first anchor level whose bound is <= eps; where the rounding
-    part alone reaches eps first, J is the first anchor whose tail is <= eps
-    and the bound reported is that total, above eps.
+# Below this x^2 + y^2 a computed orbit point may have underflowed, outside
+# the rounding model; a point whose square overflowed reads inf.  Between
+# the two the computed norm is used.
+_ORBIT_FLOOR = 2.0**-900
 
-    Tail.  Partial products have modulus <= 1, so stopping at level J errs
-    by at most sum_{j>J} |1 - m_{D_j}(eta_j)|, each term at most 2 pi gamma
-    ||eta_j|| and at most 2 pi ||mean d|| ||eta_j|| + 2 pi^2 lambda
-    ||eta_j||^2 (`_second_order`).  Future orbit norms are bounded at anchor
-    levels (preperiod end plus multiples of the unrolled period): with K the
-    anchor contraction and S, S_2 the sums of the partial-run norms and of
-    their squares, the tail beyond an anchor with certified orbit bound B is
-    at most the smaller of 2 pi gamma B S / (1 - K) and 2 pi ||mean d|| B S /
-    (1 - K) + 2 pi^2 lambda B^2 S_2 / (1 - K^2).  The (1 + 1e-12) factors
-    cover the rounding of B's float recursion and of the tail formulas.
 
-    Rounding (Higham's model: each float operation errs by at most u =
-    2^-53 relative, no underflow).  xi's own float differs from an exact point by u ||xi||.
-    Each orbit step with rounded (M^*)^{-1} entries adds an error of at most
-    3 u alpha ||computed eta||, which the later maps carry along, so the
-    orbit errors sum to at most `orbit` ||xi|| (`_rounding_constants`).  A
-    phase 2 pi <d, eta> is formed within 5 u ||d|| ||eta|| of the exact
-    phase at the computed eta; e^{it} is within 6 u (`_EXP_ERROR`); the mask
-    sum of #D terms within sqrt(2) (#D - 1) u, its division by #D within
-    2 u, and each step of the running product within 2 sqrt(2) u.  Summed
-    over the J levels this is at most rounding_per_norm ||xi|| +
-    rounding_per_level J, which holds for `fourier` and `fourier_many`
-    alike.
-    """
-    norm = math.hypot(x, y)
-    bound = norm * (1.0 + 1e-12)
-    for growth in ana.preperiod_growth:
-        bound *= growth
-    j = ana.preperiod_len
-    step, stride = ana.anchor_step, ana.unrolled_len
-    first_order, linear, quadratic = ana.tail_factor, ana.tail_linear, ana.tail_quadratic
-    # A zero point has an exact orbit, and an infinite rounding_per_norm (no
-    # control over the orbit's rounding) times 0 would be NaN.
-    rounding_at_0 = ana.rounding_per_norm * norm if norm else 0.0
-    per_level = ana.rounding_per_level
-    fallback = None
-    while True:
-        tail = first_order * bound
-        second = (linear + quadratic * bound) * bound
-        if second < tail:
-            tail = second
-        if tail <= eps:
-            rounding = rounding_at_0 + per_level * j
-            if tail + rounding <= eps:
-                return j, tail + rounding, rounding
-            fallback = fallback or (j, tail + rounding, rounding)
-            if rounding >= eps:
-                return fallback
-        if j >= MAX_SCAN_LEVELS:
-            if fallback:
-                return fallback
-            raise CapExceeded("truncation level exceeded hard cap")
-        j += stride
-        bound *= step
+def _tail(ana: _Analysis, bound: float) -> float:
+    """The tail bound beyond an anchor whose exact orbit norm is <= bound."""
+    tail = ana.tail_factor * bound
+    second = (ana.tail_linear + ana.tail_quadratic * bound) * bound
+    return second if second < tail else tail
+
+
+def _anchor_bound(bound: float, q: float, orbit_norm: float) -> float:
+    """The orbit bound at an anchor: the smaller of the a priori bound and
+    ||computed eta|| + orbit ||xi||, q = x^2 + y^2 at the computed eta."""
+    if _ORBIT_FLOOR < q < math.inf:
+        computed = (math.sqrt(q) + orbit_norm) * (1.0 + 1e-12)
+        if computed < bound:
+            return computed
+    return bound
+
+
+def _screen(ana: _Analysis, eps: float, orbit_norm: float) -> tuple[float, float]:
+    """(T, S): no orbit bound above T has a tail <= eps, and no computed
+    eta with x^2 + y^2 above S gives a bound <= T.  T is the largest B with
+    tail(B) <= eps and S is (T - orbit ||xi||)^2 (-1 when that difference
+    is not positive), each raised by 1e-9 relative, far beyond the rounding
+    of `_tail`, `_anchor_bound` and these formulas."""
+    first, linear, quadratic = ana.tail_factor, ana.tail_linear, ana.tail_quadratic
+    if not first:  # every digit is 0, so every tail is 0
+        return math.inf, math.inf
+    # quadratic > 0 here: some digit is nonzero.
+    root = 2.0 * eps / (linear + math.sqrt(linear * linear + 4.0 * quadratic * eps))
+    t = max(eps / first, root) * (1.0 + 1e-9)
+    s = t - orbit_norm
+    return t, (s * s * (1.0 + 1e-9) if s > 0 else -1.0)
 
 
 _I_TWO_PI = 1j * TWO_PI
@@ -607,9 +592,52 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
     unless float rounding alone reaches eps.
 
     An exact (int or Fraction) point in the zero set returns 0 with bound 0
-    at the certificate's level; otherwise the product runs to the level set
-    by `_truncation` at the point's float, whose rounding the bound covers.
+    at the certificate's level; otherwise the product runs at the point's
+    float, whose rounding the bound covers, to the truncation level J below.
     Non-finite coordinates raise ValueError.
+
+    Truncation.  J is the first anchor level (preperiod end plus multiples
+    of the unrolled period) whose bound, tail plus rounding, is <= eps;
+    where the rounding part alone reaches eps first, J is the first anchor
+    whose tail is <= eps and the bound reported is that total, above eps.
+
+    Tail.  Partial products have modulus <= 1, so stopping at level J errs
+    by at most sum_{j>J} |1 - m_{D_j}(eta_j)|, each term at most 2 pi gamma
+    ||eta_j|| and at most 2 pi ||mean d|| ||eta_j|| + 2 pi^2 lambda
+    ||eta_j||^2 (`_second_order`).  With K the anchor contraction and S,
+    S_2 the sums of the partial-run norms and of their squares, the tail
+    beyond an anchor whose exact orbit norm is at most B is at most the
+    smaller of 2 pi gamma B S / (1 - K) and 2 pi ||mean d|| B S / (1 - K) +
+    2 pi^2 lambda B^2 S_2 / (1 - K^2) (`_tail`).  B is the smaller of two
+    bounds (`_anchor_bound`): the a priori ||xi|| times the preperiod
+    growths times K per anchor, and the computed ||eta_j|| plus the orbit
+    rounding error orbit ||xi|| (`_rounding_constants`).  The second is
+    much the smaller for a non-normal period map, whose powers contract far
+    faster than K^k says, and is used only while 2^-900 < x^2 + y^2 < inf at
+    the computed eta, so that the square neither underflowed nor
+    overflowed.  The a priori bound keeps its own recursion, the smaller one
+    is not carried to the next anchor: each anchor's computed point already
+    bounds its orbit, and J is never above the a priori rule's.  The
+    (1 + 1e-12) factors cover the rounding of the recursions and of the
+    tail formulas.
+
+    Rounding (Higham's model: each float operation errs by at most u =
+    2^-53 relative, no underflow).  xi's own float differs from an exact
+    point by u ||xi||.  Each orbit step with rounded (M^*)^{-1} entries adds
+    an error of at most 3 u alpha ||computed eta||, which the later maps
+    carry along, so the orbit errors sum to at most orbit ||xi||.  A phase
+    2 pi <d, eta> is formed within 5 u ||d|| ||eta|| of the exact phase at
+    the computed eta; e^{it} is within 6 u (`_EXP_ERROR`); the mask sum of
+    #D terms within sqrt(2) (#D - 1) u, its division by #D within 2 u, and
+    each step of the running product within 2 sqrt(2) u.  Summed over the J
+    levels this is at most rounding_per_norm ||xi|| + rounding_per_level J,
+    which holds for `fourier` and `fourier_many` alike.
+
+    The anchor test runs inside the evaluation loop, so the orbit is walked
+    once.  A screen computed once per call (`_screen`) costs each anchor a
+    product multiply and a compare of the bound or of x^2 + y^2; the exact
+    formulas run only at anchors that pass it, and give the same J and
+    bound as running them at every anchor.
     """
     if not eps > 0:
         raise ValueError("tolerance must be positive")
@@ -619,29 +647,63 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
             return FourierResult(0j, 0.0, cert.level)
     x, y = _float_point(xi)
     ana = _analysis(sys)
-    levels, bound, rounding = _truncation(ana, x, y, eps)
-    exp = cmath.exp
+    norm = math.hypot(x, y)
+    # A zero point has an exact orbit, and an infinite rounding_per_norm or
+    # orbit (no control over the orbit's rounding) times 0 would be NaN.
+    rounding_at_0 = ana.rounding_per_norm * norm if norm else 0.0
+    orbit_norm = ana.orbit * norm if norm else 0.0
+    screen, screen_sq = _screen(ana, eps, orbit_norm)
+    bound = norm * (1.0 + 1e-12)
+    for growth in ana.preperiod_growth:
+        bound *= growth
+    j, stride, step = ana.preperiod_len, ana.unrolled_len, ana.anchor_step
+    per_level = ana.rounding_per_level
+    exp, i_two_pi = cmath.exp, _I_TWO_PI
     value = complex(1.0)
-    for a, b, c, d, digits, n, acc in islice(ana.float_levels, levels):
-        x, y = a * x + b * y, c * x + d * y
-        for dx, dy in digits:
-            acc += exp(_I_TWO_PI * (dx * x + dy * y))
-        value *= acc / n
-    return FourierResult(value, bound, levels, rounding)
+    fallback = None
+    levels, period = ana.float_levels.preperiod, ana.float_levels.period
+    while True:
+        for a, b, c, d, digits, n, acc in levels:
+            x, y = a * x + b * y, c * x + d * y
+            for dx, dy in digits:
+                acc += exp(i_two_pi * (dx * x + dy * y))
+            value *= acc / n
+        if bound <= screen or x * x + y * y <= screen_sq:
+            tail = _tail(ana, _anchor_bound(bound, x * x + y * y, orbit_norm))
+            if tail <= eps:
+                rounding = rounding_at_0 + per_level * j
+                result = FourierResult(value, tail + rounding, j, rounding)
+                if tail + rounding <= eps:
+                    return result
+                fallback = fallback or result
+                if rounding >= eps:
+                    return fallback
+        if j >= MAX_SCAN_LEVELS:
+            if fallback:
+                return fallback
+            raise CapExceeded("truncation level exceeded hard cap")
+        j += stride
+        bound *= step
+        levels = period
 
 
-FOURIER_BLOCK = 256
+FOURIER_BLOCK = 1024
 
 
 def fourier_many(sys: MoranSystem, xis: Iterable, eps: float) -> Iterator[FourierResult]:
     """`fourier` at many float points: one result per point, in order.
 
-    Each point gets the levels and bound `fourier` gives it (same
-    `_truncation`), and its value agrees with `fourier`'s to rounding: the
-    orbits step through the same float operations, while the mask sums run
-    in numpy.  Points are read and evaluated in blocks of FOURIER_BLOCK, so
-    memory does not grow with the number of points.  There is no exact-zero
-    short circuit; exact points are evaluated at their float values.
+    Each point gets the levels, bound and rounding `fourier` gives it, bit
+    for bit: the truncation rule runs at each anchor on the whole block in
+    numpy, through the same elementwise float operations, and ||xi|| comes
+    from `math.hypot` as in `fourier`.  An anchor is skipped when no point
+    of the block passes the loosest screen (`_screen` with orbit ||xi|| =
+    0), where the rule would change nothing.  The value agrees with
+    `fourier`'s to rounding: the orbits step through the same float
+    operations, while the mask sums run in numpy.  Points are read and
+    evaluated in blocks of FOURIER_BLOCK, so memory does not grow with the
+    number of points.  There is no exact-zero short circuit; exact points
+    are evaluated at their float values.
     """
     if not eps > 0:
         raise ValueError("tolerance must be positive")
@@ -653,37 +715,80 @@ def _fourier_blocks(ana: _Analysis, xis: Iterator, eps: float) -> Iterator[Fouri
     import numpy as np
 
     # Digit coordinates as (#D, 1) columns, broadcast against a block's orbit.
-    fl = ana.float_levels
-
-    def column(j: int):
-        a, b, c, d, pts, n, acc0 = fl.at(j)
+    def column(level: _FloatLevel):
+        a, b, c, d, pts, n, acc0 = level
         return (a, b, c, d, np.array([[dx] for dx, _ in pts]),
                 np.array([[dy] for _, dy in pts]), acc0, 1.0 / n)
 
-    columns = EventuallyPeriodic.from_function(column, len(fl.preperiod), len(fl.period))
+    preperiod = [column(lv) for lv in ana.float_levels.preperiod]
+    period = [column(lv) for lv in ana.float_levels.period]
+    first, linear, quadratic = ana.tail_factor, ana.tail_linear, ana.tail_quadratic
+    per_norm, per_level, orbit = ana.rounding_per_norm, ana.rounding_per_level, ana.orbit
+    stride, step = ana.unrolled_len, ana.anchor_step
+    screen, screen_sq = _screen(ana, eps, 0.0)
     while block := [_float_point(xi) for xi in islice(xis, FOURIER_BLOCK)]:
-        cuts = [_truncation(ana, x, y, eps) for x, y in block]
-        # Sorted by level, the points still running at level j are a suffix
-        # ends[start:], and the orbit arrays hold just that suffix.
-        order = sorted(range(len(block)), key=lambda i: cuts[i][0])
-        ends = [cuts[i][0] for i in order]
-        start = bisect_right(ends, 0)
-        x = np.array([block[i][0] for i in order[start:]])
-        y = np.array([block[i][1] for i in order[start:]])
+        norms = [math.hypot(x, y) for x, y in block]
+        rounding_at_0 = np.array([per_norm * r if r else 0.0 for r in norms])
+        orbit_norm = np.array([orbit * r if r else 0.0 for r in norms])
+        bound = np.array(norms) * (1.0 + 1e-12)
+        for growth in ana.preperiod_growth:
+            bound *= growth
+        x = np.array([p[0] for p in block])
+        y = np.array([p[1] for p in block])
         value = np.ones(len(block), dtype=complex)
-        for j, (a, b, c, d, dxs, dys, acc0, inv_n) in enumerate(islice(columns, ends[-1]), 1):
-            x, y = a * x + b * y, c * x + d * y
-            terms = np.exp(_I_TWO_PI * (dxs * x + dys * y))
-            value[start:] *= (acc0 + terms.sum(axis=0)) * inv_n
-            done = bisect_right(ends, j, lo=start)
-            if done > start:
-                x, y = x[done - start:], y[done - start:]
-                start = done
-        values = [0j] * len(block)
-        for i, v in zip(order, value.tolist()):
-            values[i] = v
-        for v, (j, bound, rounding) in zip(values, cuts):
-            yield FourierResult(v, bound, j, rounding)
+        # The arrays above hold the points still running; `running` maps
+        # them to their block positions, where each point's result (or
+        # fallback, once it has one) is written.
+        running = np.arange(len(block))
+        has_fallback = np.zeros(len(block), dtype=bool)
+        out_value = np.empty(len(block), dtype=complex)
+        out_bound, out_rounding = np.empty(len(block)), np.empty(len(block))
+        out_levels = np.empty(len(block), dtype=int)
+        j, levels = ana.preperiod_len, preperiod
+        while True:
+            for a, b, c, d, dxs, dys, acc0, inv_n in levels:
+                x, y = a * x + b * y, c * x + d * y
+                terms = np.exp(_I_TWO_PI * (dxs * x + dys * y))
+                value *= (acc0 + terms.sum(axis=0)) * inv_n
+            # `_anchor_bound`, `_tail` and the decisions of `fourier`, where
+            # the loosest screen (orbit ||xi|| = 0) lets some point through;
+            # squares of far points overflow to inf here too.
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = x * x + y * y
+                if bound.min() <= screen or q.min() <= screen_sq:
+                    computed = (np.sqrt(q) + orbit_norm) * (1.0 + 1e-12)
+                    anchor = np.where((q > _ORBIT_FLOOR) & (q < math.inf) & (computed < bound),
+                                      computed, bound)
+                    tail = first * anchor
+                    second = (linear + quadratic * anchor) * anchor
+                    tail = np.where(second < tail, second, tail)
+                    rounding = rounding_at_0 + per_level * j
+                    total = tail + rounding
+                    reached = tail <= eps
+                    done = reached & (total <= eps)
+                    record = done | (reached & ~has_fallback)
+                    if record.any():
+                        at = running[record]
+                        out_value[at], out_bound[at] = value[record], total[record]
+                        out_rounding[at], out_levels[at] = rounding[record], j
+                    has_fallback |= reached
+                    finished = done | (reached & (rounding >= eps))
+                    if finished.all():
+                        break
+                    if finished.any():
+                        keep = ~finished
+                        x, y, value, bound = x[keep], y[keep], value[keep], bound[keep]
+                        rounding_at_0, orbit_norm = rounding_at_0[keep], orbit_norm[keep]
+                        running, has_fallback = running[keep], has_fallback[keep]
+            if j >= MAX_SCAN_LEVELS:
+                if not has_fallback.all():
+                    raise CapExceeded("truncation level exceeded hard cap")
+                break
+            j += stride
+            bound *= step
+            levels = period
+        yield from map(FourierResult, out_value.tolist(), out_bound.tolist(),
+                       out_levels.tolist(), out_rounding.tolist())
 
 
 # --- exact zero certificates -------------------------------------------------

@@ -36,7 +36,6 @@ from moranspectra.mask import (
     eval_mask,
     generic_zero_ints,
     is_hadamard_triple,
-    partition_of_unity_residual,
 )
 from moranspectra.moran import (
     MoranSystem,
@@ -98,7 +97,7 @@ def test_criterion_02_zero_set_identity_exhaustive():
     report(2, 5.0, t0, ok, "closed form == unit-root sum == |mask| < 1e-10 at every q <= 24")
 
 
-def test_criterion_03_partition_of_unity():
+def test_criterion_03_partition_of_unity(partition_of_unity_residual):
     t0 = time.perf_counter()
     d6 = d_plus_6d()
     l_big = [(3 * x, 3 * y) for x, y in F4]

@@ -264,7 +264,13 @@ class TestExitCodes:
         assert captured.err.startswith("parse error: line 2: ")
 
     def test_empty_period_parse_error(self, tmp_path, capsys):
-        assert main(["classify", write(tmp_path, "preperiod:\n  matrix: 2 0 0 2\n  digits: canonical\n")]) == 3
+        # A config with no period: header is refused at its preperiod:
+        # header, or at line 1 when it has none.
+        pre_only = "preperiod:\n  matrix: 2 0 0 2\n  digits: canonical\n"
+        for text, line in [(pre_only, 1), ("# levels\n" + pre_only, 2), ("", 1), ("# empty\n", 1)]:
+            for command in ("validate", "classify"):
+                assert main([command, write(tmp_path, text)]) == 3
+                assert capsys.readouterr().err == f"parse error: line {line}: config has no period levels\n"
         assert main(["validate", write(tmp_path, "period:\n")]) == 3
         # A period: header with no levels is refused at its own line.
         assert capsys.readouterr().err.endswith("parse error: line 1: period: block has no levels\n")

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from moranspectra import moran
@@ -695,7 +695,7 @@ def test_stage_counts_equal_flat_atom_counts():
 # --- the float evaluator against its earlier scalar loop and mpmath ----------
 
 
-def _reference_fourier(sysm, xi, eps):
+def _reference_fourier(sysm, xi, eps, computed_orbit=True):
     """The scalar loop `fourier` ran before its float level table, kept as a
     reference: per-level float (M^*)^{-1} and ||M^{-1}|| bounds taken from the
     system's exact matrices, the anchor recursion written out, and
@@ -703,8 +703,13 @@ def _reference_fourier(sysm, xi, eps):
 
     The truncation rule is restated from the exact data: the run norms of
     the unrolled period, the digits' mean and Gershgorin covariance bound,
-    and the rounding constants of `moran._truncation`; only the unrolled
-    length is read from `_analysis`."""
+    and the rounding and orbit error constants of
+    `moran._rounding_constants`; only the unrolled length is read from
+    `_analysis`.  The rule is tested at every anchor, with no screen.  At
+    an anchor the orbit bound is the smaller of the a priori bound and the
+    computed ||eta|| plus the orbit error, the latter only while 2^-900 <
+    x^2 + y^2 < inf; with computed_orbit=False it is the a priori bound
+    alone, the rule `fourier` used before it read the computed orbit."""
     u = 2.0**-53
     length = moran._analysis(sysm).unrolled_len
     p = len(sysm.preperiod)
@@ -759,26 +764,26 @@ def _reference_fourier(sysm, xi, eps):
         bound *= g
     # The first anchor whose tail plus rounding is <= eps, or, once the
     # rounding alone reaches eps, the first anchor whose tail is <= eps.
-    j, fallback = p, None
+    j, level, value, fallback = p, 0, complex(1.0), None
     while True:
-        tail = min(first_order * bound, (linear + quadratic * bound) * bound)
+        while level < j:
+            level += 1
+            x, y, f = factor(level, x, y)
+            value *= f
+        orbit_bound, sq = bound, x * x + y * y
+        if computed_orbit and 2.0**-900 < sq < math.inf:
+            orbit_bound = min(bound, (math.sqrt(sq) + orbit * norm) * (1.0 + 1e-12))
+        tail = min(first_order * orbit_bound, (linear + quadratic * orbit_bound) * orbit_bound)
         if tail <= eps:
             rounding = per_norm * norm + per_level * j
-            fallback = fallback or (j, tail + rounding, rounding)
+            cut = FourierResult(value, tail + rounding, j, rounding)
+            fallback = fallback or cut
             if tail + rounding <= eps:
-                cut = (j, tail + rounding, rounding)
-                break
+                return cut
             if rounding >= eps:
-                cut = fallback
-                break
+                return fallback
         j += length
         bound *= float(contraction) * (1.0 + 1e-12)
-    levels, total, rounding = cut
-    value = complex(1.0)
-    for n in range(1, levels + 1):
-        x, y, f = factor(n, x, y)
-        value *= f
-    return FourierResult(value, total, levels, rounding)
 
 
 FOURIER_SYSTEMS = {
@@ -822,21 +827,83 @@ def test_fourier_equals_reference_loop():
     assert 0 < zeros < len(FOURIER_SYSTEMS) * len(FOURIER_EPS) * len(exact)
 
 
+@settings(max_examples=300)
+@seed(2121)
+@given(
+    st.sampled_from(sorted(FOURIER_SYSTEMS)),
+    st.sampled_from(FOURIER_EPS),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([1e-300, 1e-3, 1.0, 8.0, 60.0, 1e4]),
+)
+def test_computed_orbit_cut_is_never_later(name, eps, ux, uy, scale):
+    """The cut with the computed orbit is the unscreened rule's (the
+    reference loop tests it at every anchor), never later than the a priori
+    product rule's, and keeps a bound <= eps wherever that rule had one."""
+    sysm, xi = FOURIER_SYSTEMS[name], (ux * scale, uy * scale)
+    got = fourier(sysm, xi, eps)
+    assert got == _reference_fourier(sysm, xi, eps)
+    before = _reference_fourier(sysm, xi, eps, computed_orbit=False)
+    assert got.levels <= before.levels
+    assert got.bound <= eps or before.bound > eps
+
+
+def test_computed_orbit_cut_on_the_shear():
+    """The shear [[2, 2], [0, 2]] has K = 0.809 but ||(M^*)^{-k}|| ~ k 2^-k:
+    at (0.3, 0.7) and eps 1e-6 the computed orbit stops the product at 15
+    levels, where the a priori bound alone needs 40.  The bound still covers
+    the 40-digit product, for the shear and the mixed reduced system at
+    near, far and tiny points."""
+    pytest.importorskip("mpmath")
+    shear = FOURIER_SYSTEMS["shear"]
+    res = fourier(shear, (0.3, 0.7), 1e-6)
+    assert res.levels == 15 and res.bound <= 1e-6
+    assert _reference_fourier(shear, (0.3, 0.7), 1e-6, computed_orbit=False).levels == 40
+    points = [(0.3, 0.7), (-2.5, 1.25), (1e4, -7e3), (-3e3, 1e4), (1e-300, 0.0), (-1e-300, 1e-300)]
+    for name in ("shear", "mixed reduced"):
+        sysm = FOURIER_SYSTEMS[name]
+        for eps in (1e-6, 1e-12):
+            for xi, res in zip(points, fourier_many(sysm, points, eps)):
+                err = float(abs(_mp_fourier(sysm, xi, res.levels + 80) - res.value))
+                assert err <= res.bound, (name, eps, xi, err, res.bound)
+
+
+def _cut(res):
+    return res.levels, res.bound, res.rounding
+
+
+# A large shear: the bound on its orbit rounding diverges (runs * rho >= 1/2).
+UNCONTROLLED = MoranSystem.constant(Mat2(2, 10**6, 0, 2), D0)
+
+
 @pytest.mark.parametrize("count", [0, 1, FOURIER_BLOCK, FOURIER_BLOCK + 1, 700])
 def test_fourier_many_matches_fourier(count):
-    """One result per point, in order, with the levels and bound of
-    `fourier` and a value within 1e-14 of it, for block-sized and ragged
-    inputs; far points in a block run longer than the others."""
+    """One result per point, in order, with the levels, bound and rounding
+    of `fourier` and a value within 1e-14 of it, for block-sized and ragged
+    inputs; far points in a block run longer than the others.  The edge
+    points are the origin, a tiny point and one whose squares overflow; at
+    eps 1e-15 the far points take the fallback, their rounding alone above
+    eps.  On a system without rounding control every bound is inf but the
+    origin's, whose orbit is exact."""
     rng = random.Random(707 + count)
+    far = [(1e4, -3e3), (-2e3, -9e3), (1e200, 1e200)]
     for name, sysm in FOURIER_SYSTEMS.items():
-        points = _float_points(rng, count)
-        for eps in (1e-6, 1e-13):
+        points = _float_points(rng, count) + [(0.0, 0.0), (1e-300, 0.0)] + far
+        for eps in (1e-6, 1e-13, 1e-15):
             got = list(fourier_many(sysm, iter(points), eps))
-            assert len(got) == count
+            assert len(got) == len(points)
             for xi, res in zip(points, got):
                 ref = fourier(sysm, xi, eps)
-                assert (res.levels, res.bound) == (ref.levels, ref.bound), (name, xi)
-                assert abs(res.value - ref.value) <= 1e-14, (name, xi)
+                assert _cut(res) == _cut(ref), (name, eps, xi)
+                assert abs(res.value - ref.value) <= 1e-14, (name, eps, xi)
+            if eps == 1e-15:
+                assert all(res.rounding >= eps for res in got[-len(far):]), name
+    assert moran._analysis(UNCONTROLLED).orbit == math.inf
+    points = [(0.0, 0.0), (0.3, 0.7), (1e-300, 0.0), (-40.0, 2.0)]
+    got = list(fourier_many(UNCONTROLLED, points, 1e-8))
+    assert [_cut(res) for res in got] == [_cut(fourier(UNCONTROLLED, xi, 1e-8)) for xi in points]
+    assert got[0].value == 1 and got[0].bound <= 1e-8
+    assert all(res.bound == math.inf for res in got[1:])
 
 
 def test_fourier_rejects_non_finite_points():

@@ -22,7 +22,6 @@ from moranspectra.mask import (
     eval_mask,
     generic_zero_ints,
     is_hadamard_triple,
-    partition_of_unity_residual,
     unity_sum_is_zero_ints,
 )
 
@@ -142,7 +141,7 @@ def test_mask_periodicity(x, y, kx, ky):
     assert abs(a - b) < 1e-12
 
 
-def test_partition_of_unity_on_grid():
+def test_partition_of_unity_on_grid(partition_of_unity_residual):
     d6 = d_plus_6d()
     l_big = [(3 * x, 3 * y) for x, y in F4]
     for i in range(10):
