@@ -21,8 +21,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import spectra
 from .classify import NOT_SPECTRAL, OUT_OF_THEORY, classify
@@ -105,11 +106,6 @@ def _parse_xi(text: str) -> tuple:
     return tuple(out)
 
 
-def _frac_str(v) -> str:
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def cmd_validate(cfg: SystemConfig, args, report: Report) -> int:
     sys_ = cfg.system()
     rep = validate(sys_)
@@ -167,7 +163,7 @@ def cmd_zero(cfg: SystemConfig, args, report: Report) -> int:
             in_zero_set=True,
             certificate={
                 "level": cert.level,
-                "witness": [_frac_str(cert.witness[0]), _frac_str(cert.witness[1])],
+                "witness": [str(c) for c in cert.witness],
                 "verified": cert.verify(sys_),
             },
         )
@@ -188,20 +184,33 @@ def cmd_fourier(cfg: SystemConfig, args, report: Report) -> int:
     return EXIT_OK
 
 
+def _tower(sys_: MoranSystem, cap: int):
+    tower = spectra.build_tower(sys_)
+    return tower.LABEL, lambda k: spectra.enumerate_tower(tower, k, cap=cap)
+
+
+def _lattice(sys_: MoranSystem, cap: int):
+    return ("completeness-certified lattice spectrum",
+            lambda box: spectra.build_lattice_spectrum(sys_, box, cap=cap))
+
+
+# spectrum --kind: (size option, nested sizes up to a size, builder -> (label, build(size)))
+_KINDS = {
+    "tower": ("depth", lambda k: range(1, k + 1), _tower),
+    "lattice": ("box", lambda box: sorted({min(box, max(1, box // 2)), box}), _lattice),
+}
+
+
 def cmd_spectrum(cfg: SystemConfig, args, report: Report) -> int:
     sys_ = cfg.system()
     xi = None if args.xi is None else _float_point(_parse_xi(args.xi))
     if xi is not None:
         fourier_many(sys_, (), args.eps)  # checks eps, as in `emit`, before any build
-    if args.kind == "tower":
-        tower = spectra.build_tower(sys_)
-        points = spectra.enumerate_tower(tower, args.depth, cap=args.cap)
-        report.results["label"] = tower.label
-        report.truncation["depth"] = args.depth
-    else:
-        points = spectra.build_lattice_spectrum(sys_, args.box, cap=args.cap)
-        report.results["label"] = "completeness-certified lattice spectrum"
-        report.truncation["box"] = args.box
+    key, nested_sizes, builder = _KINDS[args.kind]
+    size = getattr(args, key)
+    report.results["label"], build = builder(sys_, args.cap)
+    points = build(size)
+    report.truncation[key] = size
     orth = spectra.verify_orthogonality(sys_, points)
     report.citations = ["orthogonality via zero-set certificates"]
     report.results.update(
@@ -210,24 +219,10 @@ def cmd_spectrum(cfg: SystemConfig, args, report: Report) -> int:
         pairs_certified=orth.pairs_checked,
     )
     if not orth.ok:
-        p, q = orth.failing_pair
-        report.results["failing_pair"] = [
-            [_frac_str(p[0]), _frac_str(p[1])],
-            [_frac_str(q[0]), _frac_str(q[1])],
-        ]
+        report.results["failing_pair"] = [[str(c) for c in p] for p in orth.failing_pair]
     if xi is not None:
         # The truncation already built is reused; only the others are built.
-        if args.kind == "tower":
-            nested = [
-                points if k == args.depth else spectra.enumerate_tower(tower, k, cap=args.cap)
-                for k in range(1, args.depth + 1)
-            ]
-        else:
-            boxes = sorted({min(args.box, max(1, args.box // 2)), args.box})
-            nested = [
-                points if b == args.box else spectra.build_lattice_spectrum(sys_, b, cap=args.cap)
-                for b in boxes
-            ]
+        nested = [points if k == size else build(k) for k in nested_sizes(size)]
         comp = spectra.completeness_report(sys_, nested, [xi], args.eps)
         report.results["completeness_sum"] = comp.q_values[0]
         report.results["completeness_monotone"] = comp.monotone_in_truncation
@@ -235,21 +230,16 @@ def cmd_spectrum(cfg: SystemConfig, args, report: Report) -> int:
         report.citations.append("quadratic sum criterion for spectra")
     if args.out:
         path = Path(args.out)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            for x, y in points:
-                writer.writerow([_frac_str(x), _frac_str(y)])
+        _write_csv(path, ["x", "y"], points)  # a Fraction is written p/q, or p
         report.results["out"] = str(path)
     return EXIT_OK
 
 
 def cmd_oracle(cfg: SystemConfig, args, report: Report) -> int:
     sys_ = cfg.system()
-    spectra.check_oracle_level(args.level, args.oracle_cap)
-    tower = spectra.build_tower(sys_)
-    points = spectra.enumerate_tower(tower, args.level, cap=args.cap)
-    rep = spectra.discrete_spectrum_oracle(sys_, args.level, points, cap=args.oracle_cap)
+    _, build = _tower(sys_, args.cap)
+    points = build(args.level)
+    rep = spectra.discrete_spectrum_oracle(sys_, args.level, points)
     report.citations = ["discrete spectral-pair unitarity"]
     report.results.update(
         level=args.level,
@@ -260,28 +250,26 @@ def cmd_oracle(cfg: SystemConfig, args, report: Report) -> int:
     return EXIT_OK
 
 
+def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_attractor_csv(path: Path, pts: list[tuple[float, float]]) -> int:
     """Write attractor points (see `attractor_points`) as x,y rows; return
     their number."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        writer.writerows(pts)
+    _write_csv(path, ["x", "y"], pts)
     return len(pts)
 
 
 def write_fourier_grid_csv(path: Path, sys_: MoranSystem, box: float, n: int, eps: float) -> None:
     """Write |mu^| on the n x n grid over [-box, box]^2 as x,y,absval rows."""
     axis = [-box + 2 * box * i / (n - 1) if n > 1 else 0.0 for i in range(n)]
-
-    def grid():
-        return ((x, y) for x in axis for y in axis)
-
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "absval"])
-        for (x, y), res in zip(grid(), fourier_many(sys_, grid(), eps)):
-            writer.writerow([x, y, abs(res.value)])
+    grid = fourier_many(sys_, product(axis, axis), eps)
+    rows = ((x, y, abs(res.value)) for (x, y), res in zip(product(axis, axis), grid))
+    _write_csv(path, ["x", "y", "absval"], rows)
 
 
 def cmd_emit(cfg: SystemConfig, args, report: Report) -> int:
@@ -331,35 +319,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, cap: bool = False):
+    def add(name: str, cap: Optional[int] = None):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a config file")
         if cap:
-            p.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
-                           help="point-count resource cap")
+            p.add_argument("--cap", type=int, default=cap, help="point-count resource cap")
         return p
 
+    negative = "; a negative x needs the form --xi=x,y"
     add("validate")
     p = add("classify")
     p.add_argument("--check", action="store_true",
                    help="exit 1 on NotSpectral, 2 on OutOfTheory")
     add("hadamard")
     p = add("zero")
-    p.add_argument("--xi", required=True, help="rational point p/q,r/s")
+    p.add_argument("--xi", required=True, help="rational point p/q,r/s" + negative)
     p = add("fourier")
-    p.add_argument("--xi", required=True, help="evaluation point x,y")
+    p.add_argument("--xi", required=True, help="evaluation point x,y" + negative)
     p.add_argument("--eps", type=float, default=1e-8)
-    p = add("spectrum", cap=True)
-    p.add_argument("--kind", choices=("tower", "lattice"), default="tower")
+    p = add("spectrum", cap=DEFAULT_POINT_CAP)
+    p.add_argument("--kind", choices=tuple(_KINDS), default="tower")
     p.add_argument("--depth", type=int, default=3, help="tower truncation k")
     p.add_argument("--box", type=int, default=8, help="lattice box half-width")
-    p.add_argument("--xi", default=None, help="completeness evaluation point")
+    p.add_argument("--xi", default=None, help="completeness evaluation point x,y" + negative)
     p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--out", default=None, help="CSV output path for the points")
-    p = add("oracle", cap=True)
+    p = add("oracle", cap=4**4)  # the level-n tower has 4^n points
     p.add_argument("--level", type=int, default=2)
-    p.add_argument("--oracle-cap", type=int, default=4)
-    p = add("emit", cap=True)
+    p = add("emit", cap=DEFAULT_POINT_CAP)
     p.add_argument("--depth", type=int, default=5, help="attractor depth")
     p.add_argument("--box", type=int, default=2, help="grid box half-width")
     p.add_argument("--grid", type=int, default=50, help="grid points per axis")

@@ -228,6 +228,7 @@ class _Analysis:
     rounding_per_norm: float
     rounding_per_level: float
     orbit: float
+    max_norm: float  # above this ||xi|| a phase may overflow: refused
     preperiod_len: int
     unrolled_len: int                 # anchor spacing: a multiple of the period
     period_growth_up: Fraction        # certified >= any consecutive-run norm
@@ -382,6 +383,10 @@ def _analysis(sys: MoranSystem) -> _Analysis:
     # the next anchor, then G times that anchor's sums.
     runs_bound = max(runs_bound, 1.0 + float(growth) * (length - 1 + geo1))
     per_norm, per_level, orbit = _rounding_constants(gamma, n_max, alpha, nu, runs_bound)
+    # A computed orbit norm is at most reach ||xi||, and a phase 2 pi <d, eta>
+    # or a product in an orbit step max(2 pi gamma, alpha) times that norm;
+    # 1e308 leaves room below the largest double for this formula's rounding.
+    reach = nu + orbit if orbit < math.inf else nu  # nu: the exact orbit's
     return _Analysis(
         levels=EventuallyPeriodic(levels[:p], levels[p:]),
         float_levels=EventuallyPeriodic(float_levels[:p], float_levels[p:] * unroll),
@@ -393,6 +398,7 @@ def _analysis(sys: MoranSystem) -> _Analysis:
         rounding_per_norm=per_norm,
         rounding_per_level=per_level,
         orbit=orbit,
+        max_norm=1e308 / (max(TWO_PI * gamma, alpha) * reach),
         preperiod_len=p,
         unrolled_len=length,
         period_growth_up=growth,
@@ -549,6 +555,7 @@ def _float_point(xi) -> tuple[float, float]:
 # the rounding model; a point whose square overflowed reads inf.  Between
 # the two the computed norm is used.
 _ORBIT_FLOOR = 2.0**-900
+_TOO_LARGE = "point ({!r}, {!r}) is too large: its phases would overflow a float"
 
 
 def _tail(ana: _Analysis, bound: float) -> float:
@@ -594,7 +601,7 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
     An exact (int or Fraction) point in the zero set returns 0 with bound 0
     at the certificate's level; otherwise the product runs at the point's
     float, whose rounding the bound covers, to the truncation level J below.
-    Non-finite coordinates raise ValueError.
+    A non-finite or too large (`_Analysis.max_norm`) point raises ValueError.
 
     Truncation.  J is the first anchor level (preperiod end plus multiples
     of the unrolled period) whose bound, tail plus rounding, is <= eps;
@@ -648,6 +655,8 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
     x, y = _float_point(xi)
     ana = _analysis(sys)
     norm = math.hypot(x, y)
+    if norm > ana.max_norm:
+        raise ValueError(_TOO_LARGE.format(x, y))
     # A zero point has an exact orbit, and an infinite rounding_per_norm or
     # orbit (no control over the orbit's rounding) times 0 would be NaN.
     rounding_at_0 = ana.rounding_per_norm * norm if norm else 0.0
@@ -703,7 +712,8 @@ def fourier_many(sys: MoranSystem, xis: Iterable, eps: float) -> Iterator[Fourie
     operations, while the mask sums run in numpy.  Points are read and
     evaluated in blocks of FOURIER_BLOCK, so memory does not grow with the
     number of points.  There is no exact-zero short circuit; exact points
-    are evaluated at their float values.
+    are evaluated at their float values.  A point too far out for its
+    phases gets `fourier`'s ValueError when its block is read.
     """
     if not eps > 0:
         raise ValueError("tolerance must be positive")
@@ -728,6 +738,9 @@ def _fourier_blocks(ana: _Analysis, xis: Iterator, eps: float) -> Iterator[Fouri
     screen, screen_sq = _screen(ana, eps, 0.0)
     while block := [_float_point(xi) for xi in islice(xis, FOURIER_BLOCK)]:
         norms = [math.hypot(x, y) for x, y in block]
+        if max(norms) > ana.max_norm:
+            x, y = next(p for p, r in zip(block, norms) if r > ana.max_norm)
+            raise ValueError(_TOO_LARGE.format(x, y))
         rounding_at_0 = np.array([per_norm * r if r else 0.0 for r in norms])
         orbit_norm = np.array([orbit * r if r else 0.0 for r in norms])
         bound = np.array(norms) * (1.0 + 1e-12)
@@ -972,6 +985,19 @@ def attractor_stages(sys: MoranSystem, depth: int) -> list[list[Vec2]]:
     return stages
 
 
+def _atom_count(sys: MoranSystem, depth: int, limit: int) -> tuple[Optional[int], str]:
+    """(prod_{n<=depth} #D_n or None above limit, that product as text), as
+    head * base^k by period, so any depth costs the same; base^k > limit is not formed."""
+    period = [len(d) for _, d in sys.period]
+    k, rest = divmod(max(depth - len(sys.preperiod), 0), len(period))
+    head = math.prod(len(d) for _, d in sys.preperiod[:depth]) * math.prod(period[:rest])
+    base = math.prod(period)
+    if base > 1 and k > limit.bit_length():  # base^k >= 2^k > limit
+        return None, f"{base}^{k}" if head == 1 else f"{head} * {base}^{k}"
+    count = head * base**k
+    return (count if count <= limit else None), str(count)
+
+
 def attractor_points(
     sys: MoranSystem, depth: int, cap: int = DEFAULT_POINT_CAP
 ) -> list[tuple[float, float]]:
@@ -979,10 +1005,8 @@ def attractor_points(
     coordinate the float nearest its exact value."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    count = 1
-    for n in range(1, depth + 1):
-        count *= len(sys.level(n)[1])
-        if count > cap:
-            raise CapExceeded(f"{count} attractor points exceed cap {cap}")
+    count, text = _atom_count(sys, depth, cap)
+    if count is None:
+        raise CapExceeded(f"{text} attractor points exceed cap {cap}")
     ints, q = digit_expansion(attractor_stages(sys, depth))
     return [(x / q, y / q) for x, y in ints]

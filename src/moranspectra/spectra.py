@@ -42,6 +42,7 @@ from .moran import (
     MoranSystem,
     OutOfTheoryError,
     _analysis,
+    _atom_count,
     _float_point,
     _zero_scan,
     attractor_stages,
@@ -64,29 +65,23 @@ class TowerUnavailable(OutOfTheoryError):
         self.level = level
 
 
-def _half_star_f2(m: Mat2) -> tuple[FracVec, ...]:
-    mt = m.transpose()
-    out = []
-    for v in F2:
-        x, y = mt.apply(v)
-        out.append((Fraction(x, 2), Fraction(y, 2)))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class SpectrumTower:
     """Per-level companion sets for Lambda_k = { sum_{j<=k} A_j l_j }.
 
     A_j = M_1^* ... M_{j-1}^* (A_1 = I); companions live in (1/2) Z^2 and are
     integral from level 2 on.  Every level's Hadamard property is verified
-    exactly before construction succeeds.  Label: orthogonal candidate.
+    exactly before construction succeeds.
     """
 
+    LABEL = "orthogonal candidate"
+
     system: MoranSystem
-    label: str = "orthogonal candidate"
 
     def companions(self, j: int) -> tuple[FracVec, ...]:
-        return _half_star_f2(self.system.level(j)[0])
+        """L_j = (1/2) M_j^* F_2."""
+        mt = self.system.level(j)[0].transpose()
+        return tuple((Fraction(x, 2), Fraction(y, 2)) for x, y in map(mt.apply, F2))
 
 
 def build_tower(sys: MoranSystem) -> SpectrumTower:
@@ -304,14 +299,6 @@ class OracleReport:
         return self.unitary
 
 
-def check_oracle_level(n: int, cap: int) -> None:
-    """ValueError for an oracle level below 1, CapExceeded above cap."""
-    if n < 1:
-        raise ValueError(f"oracle level must be >= 1, got {n}")
-    if n > cap:
-        raise CapExceeded(f"oracle level {n} outside 1..{cap}")
-
-
 def _residue_counts(stages: list[list[tuple[int, int]]], dx: int, dy: int, q: int) -> dict[int, int]:
     """The counts of (s_1 + ... + s_n) . (dx, dy) mod q over the sumset of
     the stages, merged mod q after each stage: the work per stage is at most
@@ -332,7 +319,6 @@ def discrete_spectrum_oracle(
     sys: MoranSystem,
     n: int,
     candidate: Sequence[Vec2],
-    cap: int = 4,
 ) -> OracleReport:
     """Brute-force spectral-pair check at level n.
 
@@ -345,17 +331,19 @@ def discrete_spectrum_oracle(
     count pattern is decided once: its exact vanishing (`unitary`) and its
     modulus; `residual`, the largest off-diagonal |H*H| entry, is only
     reported.  The pattern memo is cleared once its keys hold 16 size
-    residues, so memory stays O(size) for any q.
+    residues, so memory stays O(size) for any q.  A candidate whose size is
+    not the atom count is refused before any atom is built.
     """
-    check_oracle_level(n, cap)
+    if n < 1:
+        raise ValueError(f"oracle level must be >= 1, got {n}")
+    size, text = _atom_count(sys, n, len(candidate))
+    if size != len(candidate):
+        raise ValueError(f"candidate has {len(candidate)} points, expected {text}")
     stages, qs = stage_numerators(attractor_stages(sys, n))
     atoms_i, _ = digit_expansion(stages)
-    size = len(atoms_i)
     if len(set(atoms_i)) != size:
         raise ValueError("level-n convolution atoms collide; weights would merge")
     pts_i, ql = digit_expansion([candidate])
-    if len(pts_i) != size:
-        raise ValueError(f"candidate has {len(pts_i)} points, expected {size}")
     q = qs * ql
     unitary, largest = True, 0.0
     moduli: dict[frozenset, float] = {}  # count pattern -> |sum_k c_k e(k/q)|

@@ -30,7 +30,12 @@ from moranspectra.digitsets import (
 )
 from moranspectra.lattice import Mat2
 from moranspectra.moran import MoranSystem, TWord, fourier, realize_word_system
-from moranspectra.spectra import build_tower, completeness_report
+from moranspectra.spectra import (
+    build_lattice_spectrum,
+    build_tower,
+    completeness_report,
+    enumerate_tower,
+)
 
 CONST_2I = """\
 period:
@@ -310,12 +315,27 @@ class TestExitCodes:
         assert not outdir.exists()
 
     def test_cap_only_where_read(self):
-        """--cap exists on the commands that enumerate points, and only there."""
-        commands = ["validate", "classify", "hadamard", "zero", "fourier", "spectrum",
-                    "oracle", "emit"]
-        parse = build_parser().parse_known_args
-        with_cap = {c for c in commands if hasattr(parse([c, "cfg.txt", "--xi=0,0"])[0], "cap")}
-        assert with_cap == {"spectrum", "oracle", "emit"}
+        """Every subcommand's options and their defaults, pinned: --cap exists
+        on the commands that enumerate points, and only there, and a new
+        option shows up here.  The oracle's tower has 4^level points, so its
+        --cap of 4^4 is the only bound on the level."""
+        options = {
+            "validate": {},
+            "classify": {"check": False},
+            "hadamard": {},
+            "zero": {"xi": "0,0"},
+            "fourier": {"xi": "0,0", "eps": 1e-8},
+            "spectrum": {"cap": 65_536, "kind": "tower", "depth": 3, "box": 8, "xi": None,
+                         "eps": 1e-8, "out": None},
+            "oracle": {"cap": 256, "level": 2},
+            "emit": {"cap": 65_536, "depth": 5, "box": 2, "grid": 50, "eps": 1e-8, "out": None},
+        }
+        parser = build_parser()
+        for command, defaults in options.items():
+            required = ["--xi=0,0"] if command in ("zero", "fourier") else []
+            argv = [command, "cfg.txt", *required]
+            got = vars(parser.parse_args(argv))
+            assert got == {"command": command, "config": "cfg.txt", **defaults}, command
 
     def test_closed_stdout_exit_3(self, tmp_path):
         """A reader that is gone before the report is written: exit 3 and one
@@ -426,16 +446,48 @@ assert "numpy" in sys.modules
         assert "invalid input" in capsys.readouterr().err
 
     def test_oracle_refuses_level_before_enumerating(self, tmp_path, monkeypatch, capsys):
+        """--cap bounds the 4^level-point tower, so a level past it (or below
+        1) is refused before any tower point is built."""
         from moranspectra import spectra
 
         def late(*_, **__):
-            raise AssertionError("--level checked after the tower was enumerated")
+            raise AssertionError("a tower point was built before --level was checked")
 
-        monkeypatch.setattr(spectra, "enumerate_tower", late)
+        monkeypatch.setattr(spectra, "digit_expansion", late)
         assert main(["oracle", write(tmp_path, CONST_2I), "--level", "8"]) == 4
-        assert "oracle level 8 outside 1..4" in capsys.readouterr().err
+        assert "4^8 tower points exceed cap 256" in capsys.readouterr().err
         assert main(["oracle", write(tmp_path, CONST_2I), "--level", "0"]) == 2
-        assert "oracle level must be >= 1" in capsys.readouterr().err
+        assert "depth must be >= 1" in capsys.readouterr().err
+
+    def test_oracle_level_five_needs_cap(self, tmp_path, capsys):
+        path = write(tmp_path, CONST_2I)
+        assert main(["oracle", path, "--level", "5"]) == 4
+        assert "4^5 tower points exceed cap 256" in capsys.readouterr().err
+        assert main(["oracle", path, "--level", "5", "--cap", "1024"]) == 0
+        assert "unitary: True" in capsys.readouterr().out
+
+    def test_emit_cap_states_the_count(self, tmp_path, capsys):
+        """Past the cap the count is written as a power, not as the partial
+        product at which the count stopped (262144 = 4^9 here)."""
+        path = write(tmp_path, CONST_2I)
+        assert main(["emit", path, "--depth", str(10**11), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == (
+            "resource cap: 4^100000000000 attractor points exceed cap 65536\n")
+        assert main(["emit", path, "--depth", "9", "--cap", "100"]) == 4
+        assert "4^9 attractor points exceed cap 100" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fourier", "--xi", "1e308,1e308"],
+        ["fourier", "--xi=-1e308,5"],
+        ["spectrum", "--xi", "1e308,0"],
+    ])
+    def test_overflowing_xi_exit_2(self, tmp_path, capsys, argv):
+        """A finite point whose phases would overflow: exit 2 naming the point
+        (it used to be `math domain error`, or a NaN completeness sum)."""
+        assert main([argv[0], write(tmp_path, CONST_2I), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: point (") and "too large" in err
 
     def test_zero_decides_large_generic_denominator(self, tmp_path, capsys):
         # q = 1,200,036 at level 1: refused (exit 2) while the dense Phi_q
@@ -544,6 +596,40 @@ class TestCommands:
         results = json.loads(out.split("-- report --\n")[1].splitlines()[0])["results"]
         assert results["completeness_sum"] == completeness_report(
             sysm, nested, [(0.3, 0.7)], 1e-8).q_values[0]
+
+    @pytest.mark.parametrize(
+        "flags, label, truncation, rows, nested",
+        [
+            (["--kind", "tower", "--depth", "2"], "orthogonal candidate", "depth",
+             ["0,0", "2,0", "0,2", "2,2", "1,0", "3,0", "1,2", "3,2",
+              "0,1", "2,1", "0,3", "2,3", "1,1", "3,1", "1,3", "3,3"], [1, 2]),
+            (["--kind", "lattice", "--box", "1"], "completeness-certified lattice spectrum", "box",
+             ["-1,-1", "-1,0", "-1,1", "0,-1", "0,0", "0,1", "1,-1", "1,0", "1,1"], [1]),
+        ],
+        ids=["tower", "lattice"],
+    )
+    def test_spectrum_report_fields(self, tmp_path, capsys, flags, label, truncation, rows,
+                                    nested):
+        """Both kinds report the same fields from one builder: the label, the
+        truncation size and eps, the point count and certified pairs, the
+        completeness sum over the nested truncations, and the points as
+        exact x,y CSV rows."""
+        out_csv = tmp_path / "pts.csv"
+        assert main(["spectrum", write(tmp_path, CONST_2I), *flags, "--xi=-0.49,0.7",
+                     "--out", str(out_csv)]) == 0
+        block = json.loads(capsys.readouterr().out.split("-- report --\n")[1].splitlines()[0])
+        n = len(rows)
+        sysm = parse_config(CONST_2I).system()
+        if truncation == "depth":
+            sets = [enumerate_tower(build_tower(sysm), k) for k in nested]
+        else:
+            sets = [build_lattice_spectrum(sysm, b) for b in nested]
+        q = completeness_report(sysm, sets, [(-0.49, 0.7)], 1e-8).q_values[0]
+        assert block["results"] == {
+            "label": label, "points": n, "orthogonal": True, "pairs_certified": n * (n - 1) // 2,
+            "completeness_sum": q, "completeness_monotone": True, "out": str(out_csv)}
+        assert block["truncation"] == {truncation: int(flags[-1]), "eps": 1e-8}
+        assert out_csv.read_bytes().decode() == "".join(f"{r}\r\n" for r in ["x,y", *rows])
 
     def test_oracle(self, tmp_path, capsys):
         assert main(["oracle", write(tmp_path, CONST_2I), "--level", "2"]) == 0

@@ -7,6 +7,7 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -904,6 +905,31 @@ def test_fourier_many_matches_fourier(count):
     assert [_cut(res) for res in got] == [_cut(fourier(UNCONTROLLED, xi, 1e-8)) for xi in points]
     assert got[0].value == 1 and got[0].bound <= 1e-8
     assert all(res.bound == math.inf for res in got[1:])
+
+
+@pytest.mark.parametrize(
+    "sysm, xi",
+    [
+        (FOURIER_SYSTEMS["2I"], (1e308, 1e308)),
+        (FOURIER_SYSTEMS["2I"], (-1e308, 5.0)),
+        (MoranSystem.constant(I2, scaled_canonical(3)), (1e307, 1e307)),
+    ],
+)
+def test_fourier_refuses_overflowing_phases(sysm, xi):
+    """At a finite point whose phases overflow, `fourier` raised `math
+    domain error` and `fourier_many` returned NaN with a finite bound and
+    numpy warnings.  Both now raise the same ValueError, naming the point,
+    from a check made once per point; far points below it are unchanged."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too large") as scalar:
+            fourier(sysm, xi, 1e-8)
+        with pytest.raises(ValueError, match="too large") as block:
+            list(fourier_many(sysm, [(0.3, 0.7), xi], 1e-8))
+        assert str(scalar.value) == str(block.value) == (
+            f"point ({xi[0]!r}, {xi[1]!r}) is too large: its phases would overflow a float")
+        far = (1e200, 1e200)
+        assert _cut(next(fourier_many(sysm, [far], 1e-8))) == _cut(fourier(sysm, far, 1e-8))
 
 
 def test_fourier_rejects_non_finite_points():

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moranspectra.digitsets import StructuredDigitSet, canonical_digits, scaled_canonical
+from moranspectra.digitsets import (
+    GenericDigitSet,
+    StructuredDigitSet,
+    canonical_digits,
+    scaled_canonical,
+)
 from moranspectra.lattice import Mat2
 from moranspectra.mask import digit_mask_zero
 from moranspectra import moran
@@ -303,6 +308,36 @@ class TestAttractor:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             attractor_points(SYS2, 5, cap=100)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pre=st.lists(st.integers(1, 5), max_size=3),
+        period=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        depth=st.integers(1, 40),
+        limit=st.integers(1, 10**6),
+    )
+    def test_atom_count_is_the_level_product(self, pre, period, depth, limit):
+        """`_atom_count`, taken per period, is the product of #D_n over the
+        levels, or None above the limit; written out in full or as a power."""
+        points = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+
+        def levels(sizes):
+            return tuple((I2, GenericDigitSet(tuple(points[:n]))) for n in sizes)
+
+        sysm = MoranSystem(levels(pre), levels(period))
+        count = math.prod(len(sysm.level(n)[1]) for n in range(1, depth + 1))
+        got, text = moran._atom_count(sysm, depth, limit)
+        assert got == (count if count <= limit else None)
+        value = 1
+        for factor in text.split(" * "):  # "n", "b^k" or "h * b^k"
+            b, _, k = factor.partition("^")
+            value *= int(b) ** int(k or 1)
+        assert value == count
+
+    def test_atom_count_of_a_huge_depth(self):
+        assert moran._atom_count(SYS2, 10**11, 65_536) == (None, "4^100000000000")
+        one = MoranSystem.constant(I2, GenericDigitSet(((0, 0),)))
+        assert moran._atom_count(one, 10**11, 1) == (1, "1")
 
     @pytest.mark.parametrize("name", ["[[2,1],[1,2]]", "reduced mixed"])
     def test_points_are_correctly_rounded_exact_sums(self, name):

@@ -388,8 +388,12 @@ class TestOracle:
             discrete_spectrum_oracle(SYS2, 2, F2)
 
     def test_level_cap(self):
-        with pytest.raises(CapExceeded):
-            discrete_spectrum_oracle(SYS2, 5, [(0, 0)] * 4**5)
+        """The candidate bounds the oracle's work: level 40 has 4^40 atoms,
+        so four candidates are refused before any atom is built."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"candidate has 4 points, expected 4\^40$"):
+            discrete_spectrum_oracle(SYS2, 40, F2)
+        assert time.perf_counter() - start < 0.01
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_level_below_one_is_invalid_input(self, n):
@@ -476,7 +480,7 @@ class TestOracle:
         per difference, and patterns are memoised in O(size) entries."""
         points = enumerate_tower(build_tower(SYS2), 5)
         reports = []
-        peak = _peak_bytes(lambda: reports.append(discrete_spectrum_oracle(SYS2, 5, points, cap=5)))
+        peak = _peak_bytes(lambda: reports.append(discrete_spectrum_oracle(SYS2, 5, points)))
         assert reports[0].unitary and reports[0].residual < 1e-10
         assert peak < 2 * 2**20
 
