@@ -103,9 +103,6 @@ class Mat2:
             Fraction(self.a, 1) / det,
         )
 
-    def as_float_rows(self) -> list[list[float]]:
-        return [[float(self.a), float(self.b)], [float(self.c), float(self.d)]]
-
 
 def mat_product(matrices: Iterable[Mat2]) -> Mat2:
     """Left-to-right exact product of a nonempty sequence of matrices."""
@@ -319,11 +316,8 @@ def inverse_norm_upper(m: Mat2) -> Fraction:
     """Certified rational upper bound for ||m^{-1}|| = 1/sigma_min(m)."""
     s, det_gram = gram_trace_det(m)
     disc = s * s - 4 * det_gram
-    # sigma_min^2 = (s - sqrt(disc))/2, but also det_gram / lambda_max,
-    # which stays positive under the rational majorant of lambda_max.
+    # sigma_min^2 = det_gram / lambda_max, which stays positive under the
+    # rational majorant of lambda_max and is never below (s - sqrt(disc))/2
+    # with the same majorant of sqrt(disc).
     lam_up = (Fraction(s) + sqrt_upper(disc)) / 2
-    sig_min_sq_low = Fraction(det_gram) / lam_up
-    direct = (Fraction(s) - sqrt_upper(disc)) / 2
-    if direct > sig_min_sq_low:
-        sig_min_sq_low = direct
-    return sqrt_upper(Fraction(1) / sig_min_sq_low)
+    return sqrt_upper(lam_up / det_gram)

@@ -14,16 +14,15 @@ eta_j = (M_1^* ... M_j^*)^{-1} xi.
 Two evaluation paths coexist:
 
 * `fourier` / `fourier_many` - double-precision truncated product with a
-                   certified error bound: a tail bound, the smaller of the
-                   first-order |1 - m_D(eta)| <= 2 pi max||d|| ||eta|| and the
-                   second-order 2 pi ||mean d|| ||eta|| + 2 pi^2 lambda
-                   ||eta||^2 summed over the geometric decay of ||eta_j||,
-                   plus an a priori bound on the float rounding of the
-                   evaluation itself.  Both read one float level table built
-                   by `_analysis` and stop at the level chosen by one
-                   truncation rule, tested at each anchor on the computed
-                   orbit (see `fourier`), so a point gets the same levels
-                   and bound either way.
+                   certified error bound: a tail bound, |1 - m_D(eta)| <=
+                   2 pi ||mean d|| ||eta|| + 2 pi^2 lambda ||eta||^2 summed
+                   over the geometric decay of ||eta_j||, plus an a priori
+                   bound on the float rounding of the evaluation itself.
+                   Both read one float level table built by `_analysis`
+                   and stop at the level chosen by one truncation rule,
+                   tested at each anchor on the computed orbit (see
+                   `fourier`), so a point gets the same levels and bound
+                   either way.
                    `fourier` walks one point in a scalar loop;
                    `fourier_many` steps blocks of points level by level in
                    numpy (imported only there), which pays off from about
@@ -217,9 +216,8 @@ class _Analysis:
     # float(K) * (1 + 1e-12), with K < 1 the certified bound on the norm of
     # the inverse of the product of unrolled_len period maps from phase 0.
     anchor_step: float
-    # The tail beyond an anchor with orbit bound B is at most the smaller of
-    # tail_factor * B and (tail_linear + tail_quadratic * B) * B.
-    tail_factor: float
+    # The tail beyond an anchor with orbit bound B is at most
+    # (tail_linear + tail_quadratic * B) * B.
     tail_linear: float
     tail_quadratic: float
     # Float rounding of a product of J levels at a point of norm r is at most
@@ -231,10 +229,9 @@ class _Analysis:
     max_norm: float  # above this ||xi|| a phase may overflow: refused
     preperiod_len: int
     unrolled_len: int                 # anchor spacing: a multiple of the period
-    period_growth_up: Fraction        # certified >= any consecutive-run norm
-    zero_floor_sq: Fraction           # min over levels of mask.zero_norm_floor^2
-    # The zero scan's stop test ||eta||^2 G^2 < zero_floor_sq (G the period
-    # growth bound) on eta = (nx, ny) / den, cross-multiplied to integers:
+    # The zero scan's stop test ||eta||^2 G^2 < F (G >= every consecutive-run
+    # norm of the period, F the least mask.zero_norm_floor^2 of the levels)
+    # on eta = (nx, ny) / den, cross-multiplied to integers:
     # (nx^2 + ny^2) * stop_scale < stop_floor * den^2.
     stop_scale: int
     stop_floor: int
@@ -392,7 +389,6 @@ def _analysis(sys: MoranSystem) -> _Analysis:
         float_levels=EventuallyPeriodic(float_levels[:p], float_levels[p:] * unroll),
         preperiod_growth=preperiod_growth,
         anchor_step=contraction * (1.0 + 1e-12),
-        tail_factor=TWO_PI * gamma * geo1,
         tail_linear=TWO_PI * math.sqrt(mean_sq) * geo1,
         tail_quadratic=2.0 * math.pi**2 * cov * geo2,
         rounding_per_norm=per_norm,
@@ -401,8 +397,6 @@ def _analysis(sys: MoranSystem) -> _Analysis:
         max_norm=1e308 / (max(TWO_PI * gamma, alpha) * reach),
         preperiod_len=p,
         unrolled_len=length,
-        period_growth_up=growth,
-        zero_floor_sq=zero_floor_sq,
         stop_scale=growth.numerator**2 * zero_floor_sq.denominator,
         stop_floor=zero_floor_sq.numerator * growth.denominator**2,
     )
@@ -560,9 +554,7 @@ _TOO_LARGE = "point ({!r}, {!r}) is too large: its phases would overflow a float
 
 def _tail(ana: _Analysis, bound: float) -> float:
     """The tail bound beyond an anchor whose exact orbit norm is <= bound."""
-    tail = ana.tail_factor * bound
-    second = (ana.tail_linear + ana.tail_quadratic * bound) * bound
-    return second if second < tail else tail
+    return (ana.tail_linear + ana.tail_quadratic * bound) * bound
 
 
 def _anchor_bound(bound: float, q: float, orbit_norm: float) -> float:
@@ -581,12 +573,10 @@ def _screen(ana: _Analysis, eps: float, orbit_norm: float) -> tuple[float, float
     tail(B) <= eps and S is (T - orbit ||xi||)^2 (-1 when that difference
     is not positive), each raised by 1e-9 relative, far beyond the rounding
     of `_tail`, `_anchor_bound` and these formulas."""
-    first, linear, quadratic = ana.tail_factor, ana.tail_linear, ana.tail_quadratic
-    if not first:  # every digit is 0, so every tail is 0
+    linear, quadratic = ana.tail_linear, ana.tail_quadratic
+    if not quadratic:  # every digit is 0, so every tail is 0
         return math.inf, math.inf
-    # quadratic > 0 here: some digit is nonzero.
-    root = 2.0 * eps / (linear + math.sqrt(linear * linear + 4.0 * quadratic * eps))
-    t = max(eps / first, root) * (1.0 + 1e-9)
+    t = 2.0 * eps / (linear + math.sqrt(linear * linear + 4.0 * quadratic * eps)) * (1.0 + 1e-9)
     s = t - orbit_norm
     return t, (s * s * (1.0 + 1e-9) if s > 0 else -1.0)
 
@@ -609,13 +599,12 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
     whose tail is <= eps and the bound reported is that total, above eps.
 
     Tail.  Partial products have modulus <= 1, so stopping at level J errs
-    by at most sum_{j>J} |1 - m_{D_j}(eta_j)|, each term at most 2 pi gamma
-    ||eta_j|| and at most 2 pi ||mean d|| ||eta_j|| + 2 pi^2 lambda
-    ||eta_j||^2 (`_second_order`).  With K the anchor contraction and S,
-    S_2 the sums of the partial-run norms and of their squares, the tail
-    beyond an anchor whose exact orbit norm is at most B is at most the
-    smaller of 2 pi gamma B S / (1 - K) and 2 pi ||mean d|| B S / (1 - K) +
-    2 pi^2 lambda B^2 S_2 / (1 - K^2) (`_tail`).  B is the smaller of two
+    by at most sum_{j>J} |1 - m_{D_j}(eta_j)|, each term at most 2 pi
+    ||mean d|| ||eta_j|| + 2 pi^2 lambda ||eta_j||^2 (`_second_order`).
+    With K the anchor contraction and S, S_2 the sums of the partial-run
+    norms and of their squares, the tail beyond an anchor whose exact orbit
+    norm is at most B is at most 2 pi ||mean d|| B S / (1 - K) + 2 pi^2
+    lambda B^2 S_2 / (1 - K^2) (`_tail`).  B is the smaller of two
     bounds (`_anchor_bound`): the a priori ||xi|| times the preperiod
     growths times K per anchor, and the computed ||eta_j|| plus the orbit
     rounding error orbit ||xi|| (`_rounding_constants`).  The second is
@@ -732,7 +721,7 @@ def _fourier_blocks(ana: _Analysis, xis: Iterator, eps: float) -> Iterator[Fouri
 
     preperiod = [column(lv) for lv in ana.float_levels.preperiod]
     period = [column(lv) for lv in ana.float_levels.period]
-    first, linear, quadratic = ana.tail_factor, ana.tail_linear, ana.tail_quadratic
+    linear, quadratic = ana.tail_linear, ana.tail_quadratic
     per_norm, per_level, orbit = ana.rounding_per_norm, ana.rounding_per_level, ana.orbit
     stride, step = ana.unrolled_len, ana.anchor_step
     screen, screen_sq = _screen(ana, eps, 0.0)
@@ -772,9 +761,7 @@ def _fourier_blocks(ana: _Analysis, xis: Iterator, eps: float) -> Iterator[Fouri
                     computed = (np.sqrt(q) + orbit_norm) * (1.0 + 1e-12)
                     anchor = np.where((q > _ORBIT_FLOOR) & (q < math.inf) & (computed < bound),
                                       computed, bound)
-                    tail = first * anchor
-                    second = (linear + quadratic * anchor) * anchor
-                    tail = np.where(second < tail, second, tail)
+                    tail = (linear + quadratic * anchor) * anchor
                     rounding = rounding_at_0 + per_level * j
                     total = tail + rounding
                     reached = tail <= eps
@@ -976,7 +963,11 @@ def integer_periodic_zero_nonempty(
 
 def attractor_stages(sys: MoranSystem, depth: int) -> list[list[Vec2]]:
     """The exact stage images M_1^{-1}...M_j^{-1} D_j for j = 1..depth; the
-    depth-k partial sums are their sumset."""
+    depth-k partial sums are their sumset.  A depth above MAX_SCAN_LEVELS
+    raises CapExceeded before any stage is built: one-point digit sets keep
+    the point count at 1, so no point cap bounds the depth."""
+    if depth > MAX_SCAN_LEVELS:
+        raise CapExceeded(f"depth {depth} exceeds the level cap {MAX_SCAN_LEVELS}")
     stages, prefix = [], Mat2.identity()
     for n in range(1, depth + 1):
         m, d = sys.level(n)

@@ -109,8 +109,7 @@ def enumerate_tower(
     """
     if k < 1:
         raise ValueError("depth must be >= 1")
-    # 4^k has 2k + 1 bits, so a huge k is refused before 4^k is formed.
-    if 2 * k > cap.bit_length() or 4**k > cap:
+    if _atom_count(tower.system, k, cap)[0] is None:  # each level has 4 points
         raise CapExceeded(f"4^{k} tower points exceed cap {cap}")
 
     def stages():

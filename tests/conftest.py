@@ -11,6 +11,11 @@ settings.register_profile(
 settings.load_profile("default")
 
 
+def float_rows(m) -> list[list[float]]:
+    """The rows of a `Mat2` as floats, for numpy references."""
+    return [[float(m.a), float(m.b)], [float(m.c), float(m.d)]]
+
+
 def _partition_of_unity_residual(m, digits, companions, xi) -> float:
     """| sum_{l in L} |m_D((M^*)^{-1}(xi + l))|^2  -  1 |  at a single xi.
 
@@ -18,7 +23,7 @@ def _partition_of_unity_residual(m, digits, companions, xi) -> float:
     exponential matrix have unit norm); the residual quantifies how far a
     candidate triple is from that identity.
     """
-    eta = m.transpose().inverse().as_float_rows()
+    eta = float_rows(m.transpose().inverse())
     x, y = float(xi[0]), float(xi[1])
     total = 0.0
     for lx, ly in companions:

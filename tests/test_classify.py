@@ -157,6 +157,31 @@ class TestDispatcher:
         v = classify(sysm)
         assert (v.outcome, v.rule) == (NOT_SPECTRAL, "C5.1")
 
+    def test_cor51_defers_when_the_tail_scale_divides(self):
+        """Scales 3, 9 then 3 forever: 3 divides 9, so C5.1 proves nothing
+        and the verdict is no rule's."""
+        sysm = MoranSystem(
+            ((I2, scaled_canonical(3)), (I2, scaled_canonical(9))),
+            ((I2, scaled_canonical(3)),),
+        )
+        assert cor51_verdict(sysm) is None
+        assert classify(sysm).outcome == OUT_OF_THEORY
+
+    def test_undecided_normalized_system_reports_its_own_traces(self):
+        """When the similarity-normalized system decides nothing either, the
+        detail is its traces, each marked as such: the raw system's traces
+        would cite the conjugated matrix."""
+        base = MoranSystem.constant(Mat2(1, 1, -1, 1), D0)  # |det| = 2
+        v = classify(conjugate_system(base, Mat2(1, 1, 0, 1)))
+        rows = "[[1, 1], [-1, 1]]"
+        assert (v.outcome, v.rule) == (OUT_OF_THEORY, None)
+        assert v.detail == "; ".join(f"after similarity normalization: {t}" for t in (
+            f"T1.4: |det {rows}| = 2 is not > 4",
+            f"T1.6: tail matrix {rows} is not in GL(2,2Z)",
+            f"T1.5: matrix {rows} is not in GL(2,2Z)",
+            f"T1.1: |det {rows}| = 2 is not >= 4",
+        ))
+
     def test_generic_digits_are_out_of_theory(self):
         d6 = sum_set(D0, GenericDigitSet(tuple((6 * x, 6 * y) for x, y in D0.points())))
         v = classify(MoranSystem.constant(I2, d6))
@@ -258,6 +283,10 @@ class TestShapes:
         word, mats = thm15_shape(sysm)
         assert word.t_values == (1, 3, 5)
         assert word.period == (3, 2)
+
+    def test_thm15_shape_rejects_negative_scales(self):
+        sysm = MoranSystem(((I2, scaled_canonical(3)),), ((I2, scaled_canonical(-3)),))
+        assert thm15_shape(sysm) == "scale -3 is negative"
 
     def test_thm15_shape_rejects_non_coprime(self):
         sysm = MoranSystem((), ((I2, scaled_canonical(3)), (I2, scaled_canonical(9))))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -477,6 +478,17 @@ assert "numpy" in sys.modules
         assert "4^9 attractor points exceed cap 100" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_emit_depth_is_bounded_for_one_point_digits(self, tmp_path, capsys):
+        """{(0, 0)} has one attractor point at every depth, so no point cap
+        stops a huge --depth; the level cap does, before --out is made."""
+        start = time.perf_counter()
+        assert main(["emit", write(tmp_path, ZERO_DIGIT), "--depth", str(10**11),
+                     "--grid", "2", "--out", str(tmp_path / "o")]) == 4
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "resource cap: depth 100000000000 exceeds the level cap 100000\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [
         ["fourier", "--xi", "1e308,1e308"],
         ["fourier", "--xi=-1e308,5"],
@@ -596,6 +608,22 @@ class TestCommands:
         results = json.loads(out.split("-- report --\n")[1].splitlines()[0])["results"]
         assert results["completeness_sum"] == completeness_report(
             sysm, nested, [(0.3, 0.7)], 1e-8).q_values[0]
+
+    def test_spectrum_report_names_the_failing_pair(self, tmp_path, capsys, monkeypatch):
+        """A set that fails certification reports its first failing pair as
+        exact strings, p/q or p."""
+        from moranspectra import spectra
+        from moranspectra.spectra import OrthogonalityResult
+
+        pair = ((Fraction(1, 2), Fraction(0)), (Fraction(-3), Fraction(5, 4)))
+        monkeypatch.setattr(spectra, "verify_orthogonality",
+                            lambda *_: OrthogonalityResult(False, pair, 7, 5))
+        assert main(["spectrum", write(tmp_path, CONST_2I), "--kind", "tower",
+                     "--depth", "2"]) == 0
+        block = json.loads(capsys.readouterr().out.split("-- report --\n")[1].splitlines()[0])
+        assert block["results"] == {
+            "label": "orthogonal candidate", "points": 16, "orthogonal": False,
+            "pairs_certified": 7, "failing_pair": [["1/2", "0"], ["-3", "5/4"]]}
 
     @pytest.mark.parametrize(
         "flags, label, truncation, rows, nested",

@@ -2,6 +2,7 @@
 independent numeric evaluations on randomized inputs."""
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import float_rows
 from moranspectra import moran
 from moranspectra.config import ConfigError, parse_config
 from moranspectra.digitsets import (
@@ -43,6 +45,7 @@ from moranspectra.mask import (
     generic_zero_ints,
     is_hadamard_triple,
     unity_sum_is_zero_ints,
+    zero_norm_floor,
 )
 from moranspectra.moran import (
     FOURIER_BLOCK,
@@ -80,7 +83,7 @@ MIXED = MoranSystem(
 def _numeric_hadamard_residual(m, digits, companions):
     """Unitarity residual of the normalized exponential matrix, computed
     directly from the definition."""
-    minv = np.linalg.inv(np.array(m.as_float_rows()))
+    minv = np.linalg.inv(np.array(float_rows(m)))
     rows = []
     for d in digits.points():
         base = minv @ np.array(d, float)
@@ -327,7 +330,7 @@ def test_validation_iota_close_to_certified_bound():
         m = Mat2(*(rng.randint(-9, 9) for _ in range(4)))
         if m.det() == 0:
             continue
-        sig = np.linalg.svd(np.array(m.as_float_rows()), compute_uv=False)
+        sig = np.linalg.svd(np.array(float_rows(m)), compute_uv=False)
         assert float(inverse_norm_upper(m)) == pytest.approx(1.0 / sig.min(), rel=1e-9)
 
 
@@ -335,15 +338,39 @@ def test_validation_iota_close_to_certified_bound():
 #
 # The references below walk pairs, orbits and inner products in plain
 # Fraction arithmetic, one exact test per pair or level, with nothing shared
-# with the integer paths in src/ except `_analysis`'s certified stop bounds
-# and the integer vanishing-sum kernels, reached through
-# `over_common_denominator`, for generic digit sets and unit-root sums.
+# with the integer paths in src/ except the certified norm bounds of
+# `lattice`, `mask.zero_norm_floor` and the integer vanishing-sum kernels,
+# reached through `over_common_denominator`, for generic digit sets and
+# unit-root sums.
+
+
+@functools.lru_cache(maxsize=None)
+def _period_runs(sysm):
+    """(L, runs): runs[phase][i] = operator_norm_upper of the run of i + 1
+    period maps (M^*)^{-1} from that phase, for the unrolled length L, the
+    first of r, 2r, 4r, ... at which every phase's full run contracts."""
+    maps = [m.transpose().inverse() for m, _ in sysm.period]
+    r = length = len(maps)
+    while True:
+        runs_by_phase = []
+        for phase in range(r):
+            acc, runs = Mat2.identity(), []
+            for step in range(length):
+                acc = maps[(phase + step) % r] * acc
+                runs.append(operator_norm_upper(acc))
+            runs_by_phase.append(runs)
+        if all(runs[-1] < 1 for runs in runs_by_phase):
+            return length, runs_by_phase
+        assert length < 256 * r, "period inverse products do not contract"
+        length *= 2
 
 
 def _reference_zero_scan(sysm, xi):
-    """Fraction orbit scan with the structured closed form written out."""
-    ana = moran._analysis(sysm)
-    growth_sq = ana.period_growth_up**2
+    """Fraction orbit scan with the structured closed form written out; it
+    stops once G ||eta|| is below every level's `zero_norm_floor`, G the
+    largest run norm of the unrolled period."""
+    growth_sq = max(max(runs) for runs in _period_runs(sysm)[1]) ** 2
+    floor_sq = min(zero_norm_floor(d) ** 2 for _, d in sysm.distinct())
     eta = xi_frac = (Fraction(xi[0]), Fraction(xi[1]))
     j = 0
     while True:
@@ -360,7 +387,7 @@ def _reference_zero_scan(sysm, xi):
             hit = generic_zero_ints(d, nx, ny, den)
         if hit:
             return ZeroCertificate(level=j, witness=eta, xi=xi_frac)
-        if j >= len(sysm.preperiod) and (eta[0] ** 2 + eta[1] ** 2) * growth_sq < ana.zero_floor_sq:
+        if j >= len(sysm.preperiod) and (eta[0] ** 2 + eta[1] ** 2) * growth_sq < floor_sq:
             return None
 
 
@@ -703,27 +730,19 @@ def _reference_fourier(sysm, xi, eps, computed_orbit=True):
     `eval_mask` for every factor.  Exact points are not short-circuited.
 
     The truncation rule is restated from the exact data: the run norms of
-    the unrolled period, the digits' mean and Gershgorin covariance bound,
-    and the rounding and orbit error constants of
-    `moran._rounding_constants`; only the unrolled length is read from
-    `_analysis`.  The rule is tested at every anchor, with no screen.  At
+    the unrolled period (`_period_runs`), the digits' mean and Gershgorin
+    covariance bound, and the rounding and orbit error constants of
+    `moran._rounding_constants`.  The tail beyond an anchor with orbit
+    bound B is 2 pi ||mean d|| B S / (1 - K) + 2 pi^2 lambda B^2 S_2 /
+    (1 - K^2).  The rule is tested at every anchor, with no screen.  At
     an anchor the orbit bound is the smaller of the a priori bound and the
     computed ||eta|| plus the orbit error, the latter only while 2^-900 <
     x^2 + y^2 < inf; with computed_orbit=False it is the a priori bound
     alone, the rule `fourier` used before it read the computed orbit."""
     u = 2.0**-53
-    length = moran._analysis(sysm).unrolled_len
+    length, runs_by_phase = _period_runs(sysm)
     p = len(sysm.preperiod)
-    inv = {m: m.transpose().inverse().as_float_rows() for m in sysm.matrices()}
-    maps = [m.transpose().inverse() for m in sysm.matrices()]
-    period = maps[p:]
-    runs_by_phase = []
-    for phase in range(len(period)):
-        acc, runs = Mat2.identity(), []
-        for step in range(length):
-            acc = period[(phase + step) % len(period)] * acc
-            runs.append(operator_norm_upper(acc))
-        runs_by_phase.append(runs)
+    inv = {m: float_rows(m.transpose().inverse()) for m in sysm.matrices()}
     runs = runs_by_phase[0]
     contraction, growth = runs[-1], max(max(r) for r in runs_by_phase)
     geo1 = float(sum(runs)) / float(1 - contraction)
@@ -734,7 +753,6 @@ def _reference_fourier(sysm, xi, eps, computed_orbit=True):
                            len(pts) ** 2) for pts in digit_sets)
     cov = max(Fraction(max(sum(x * x for x, _ in pts), sum(y * y for _, y in pts))
                        + abs(sum(x * y for x, y in pts)), len(pts)) for pts in digit_sets)
-    first_order = 2.0 * math.pi * gamma * geo1
     linear = 2.0 * math.pi * math.sqrt(float(mean_sq)) * geo1
     quadratic = 2.0 * math.pi**2 * float(cov) * geo2
     pre_growth = [float(inverse_norm_upper(m)) * (1.0 + 1e-12) for m, _ in sysm.preperiod]
@@ -774,7 +792,7 @@ def _reference_fourier(sysm, xi, eps, computed_orbit=True):
         orbit_bound, sq = bound, x * x + y * y
         if computed_orbit and 2.0**-900 < sq < math.inf:
             orbit_bound = min(bound, (math.sqrt(sq) + orbit * norm) * (1.0 + 1e-12))
-        tail = min(first_order * orbit_bound, (linear + quadratic * orbit_bound) * orbit_bound)
+        tail = (linear + quadratic * orbit_bound) * orbit_bound
         if tail <= eps:
             rounding = per_norm * norm + per_level * j
             cut = FourierResult(value, tail + rounding, j, rounding)
@@ -984,6 +1002,26 @@ def test_fourier_many_within_bound_of_mpmath():
         for xi, res in zip(small, fourier_many(sysm, small, 1e-12)):
             err = float(abs(_mp_fourier(sysm, xi, res.levels + 80) - res.value))
             assert err <= res.bound <= 1e-12, (name, xi, err, res.bound)
+
+
+def test_near_dirac_digit_sets_within_bound_of_mpmath():
+    """Digit sets whose mean is nearly as long as their longest digit, where
+    the second-order tail gains nothing on 2 pi max||d|| ||eta||: the one
+    point (1, 0) and D0 + (30, 0).  Their bound still covers the 40-digit
+    product from eps 0.5 down to 1e-12, and stays <= eps where rounding does
+    not reach it."""
+    pytest.importorskip("mpmath")
+    shifted = GenericDigitSet(tuple((x + 30, y) for x, y in D0.points()))
+    systems = [MoranSystem.constant(I2, GenericDigitSet(((1, 0),))),
+               MoranSystem.constant(I2, shifted)]
+    rng = random.Random(2323)
+    points = _float_points(rng, 6) + [(0.3, 0.7), (-2.5, 1.25)]
+    for sysm in systems:
+        for eps in (0.5, 0.1, 1e-2, 1e-4, 1e-8, 1e-12):
+            for xi, res in zip(points, fourier_many(sysm, points, eps)):
+                err = float(abs(_mp_fourier(sysm, xi, res.levels + 80) - res.value))
+                assert err <= res.bound, (sysm, eps, xi, err, res.bound)
+                assert res.bound <= eps or res.rounding >= eps, (sysm, eps, xi)
 
 
 def test_second_order_mask_bound_against_mpmath():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from conftest import float_rows
 from moranspectra.lattice import (
     Mat2,
     difference_set,
@@ -84,7 +85,7 @@ def _random_corpus(n=1000, seed=20240):
 def test_expanding_agrees_with_float_eigenvalues():
     # agreement demanded whenever both eigenvalue moduli differ from 1 by > 1e-6
     for m in _random_corpus():
-        ev = np.linalg.eigvals(np.array(m.as_float_rows()))
+        ev = np.linalg.eigvals(np.array(float_rows(m)))
         if all(abs(abs(l) - 1.0) > 1e-6 for l in ev):
             assert is_expanding(m) == bool(all(abs(l) > 1 for l in ev)), m
 
@@ -130,7 +131,7 @@ def test_sqrt_bounds(x):
 
 @given(nonsingular)
 def test_certified_norm_bounds_dominate_svd(m):
-    sig = np.linalg.svd(np.array(m.as_float_rows()), compute_uv=False)
+    sig = np.linalg.svd(np.array(float_rows(m)), compute_uv=False)
     assert float(operator_norm_upper(m)) >= sig.max() - 1e-9
     assert float(inverse_norm_upper(m)) >= 1.0 / sig.min() - 1e-9
     # and they are tight to a relative 1e-6

@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from moranspectra.moran import (
     MoranSystem,
     OutOfTheoryError,
     TWord,
+    ZeroCertificate,
     attractor_points,
     conjugate_system,
     fourier,
@@ -151,6 +154,17 @@ class TestZeroCertificates:
         assert cert is not None
         assert cert.verify(sysm)
         assert digit_mask_zero(D0, cert.witness)
+
+    def test_tampered_certificates_fail(self):
+        """`verify` checks both halves of the claim: M_1^* ... M_j^* witness
+        = xi, and the witness is a zero of m_{D_j}."""
+        cert = fourier_zero_exact(SYS2, (1, 1))
+        assert cert.verify(SYS2)
+        assert not replace(cert, level=cert.level + 1).verify(SYS2)
+        assert not replace(cert, xi=(Fraction(3), Fraction(1))).verify(SYS2)
+        # a witness off the zero set, with xi its exact image
+        off = (Fraction(1, 4), Fraction(0))
+        assert not ZeroCertificate(1, off, (Fraction(1, 2), Fraction(0))).verify(SYS2)
 
     def test_shear_non_member(self):
         sysm = MoranSystem.constant(SHEAR2, D0)
@@ -308,6 +322,18 @@ class TestAttractor:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             attractor_points(SYS2, 5, cap=100)
+
+    def test_depth_is_bounded_by_the_level_cap(self):
+        """A one-point digit set keeps every depth within any point cap, so
+        the stages refuse a depth past MAX_SCAN_LEVELS before building one."""
+        one = MoranSystem.constant(I2, GenericDigitSet(((1, 0),)))
+        cap = moran.MAX_SCAN_LEVELS
+        with pytest.raises(CapExceeded, match=f"depth {cap + 1} exceeds the level cap {cap}"):
+            moran.attractor_stages(one, cap + 1)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="exceeds the level cap"):
+            attractor_points(one, 10**11)
+        assert time.perf_counter() - start < 0.5
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -354,6 +354,15 @@ class TestCompleteness:
         assert len(rep.q_values) == 2
         assert all(0 <= q <= 1 + 1e-6 for q in rep.q_values)
 
+    def test_completeness_report_flags_a_shrinking_chain(self):
+        """A chain given largest set first is not nested upward: its sums
+        fall, and the report says so (and keeps the last, smallest one)."""
+        boxes = [build_lattice_spectrum(SYS2, b) for b in (4, 2)]
+        rep = completeness_report(SYS2, boxes, [(0.3, 0.7)], 1e-8)
+        assert not rep.monotone_in_truncation
+        assert rep.truncation_points == 25
+        assert rep.q_values[0] == completeness_sum(SYS2, boxes[1], (0.3, 0.7), 1e-8)
+
     def test_lattice_beats_quadrant_tower(self):
         # the tower fills one quadrant only; the lattice spectrum is complete
         tower = build_tower(SYS2)
@@ -393,6 +402,15 @@ class TestOracle:
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"candidate has 4 points, expected 4\^40$"):
             discrete_spectrum_oracle(SYS2, 40, F2)
+        assert time.perf_counter() - start < 0.01
+
+    def test_level_past_the_level_cap(self):
+        """One atom at every level: the candidate cannot bound the level, so
+        the stages refuse it, as fast as a size mismatch."""
+        one = MoranSystem.constant(I2, GenericDigitSet(((0, 0),)))
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="depth 100000000000 exceeds the level cap"):
+            discrete_spectrum_oracle(one, 10**11, [(0, 0)])
         assert time.perf_counter() - start < 0.01
 
     @pytest.mark.parametrize("n", [0, -1])
