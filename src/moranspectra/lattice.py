@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import filterfalse, islice, repeat
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -109,10 +110,7 @@ def mat_product(matrices: Iterable[Mat2]) -> Mat2:
     mats = list(matrices)
     if not mats:
         raise ValueError("mat_product needs at least one matrix")
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = acc * m
-    return acc
+    return reduce(mul, mats)
 
 
 def is_expanding(m: Mat2) -> bool:
@@ -304,20 +302,20 @@ def sqrt_upper(x: Scalar) -> Fraction:
     return Fraction(s if s * s == n else s + 1, scale)
 
 
+def _gram_top_upper(m: Mat2) -> tuple[Fraction, Scalar]:
+    """(a rational majorant of lambda_max(m^t m), det(m^t m)): lambda_max is
+    (s + sqrt(s^2 - 4 det)) / 2 with s = tr(m^t m)."""
+    s, det_gram = gram_trace_det(m)
+    return (Fraction(s) + sqrt_upper(s * s - 4 * det_gram)) / 2, det_gram
+
+
 def operator_norm_upper(m: Mat2) -> Fraction:
     """Certified rational upper bound for ||m|| (largest singular value)."""
-    s, det_gram = gram_trace_det(m)
-    disc = s * s - 4 * det_gram
-    lam_up = (Fraction(s) + sqrt_upper(disc)) / 2
-    return sqrt_upper(lam_up)
+    return sqrt_upper(_gram_top_upper(m)[0])
 
 
 def inverse_norm_upper(m: Mat2) -> Fraction:
-    """Certified rational upper bound for ||m^{-1}|| = 1/sigma_min(m)."""
-    s, det_gram = gram_trace_det(m)
-    disc = s * s - 4 * det_gram
-    # sigma_min^2 = det_gram / lambda_max, which stays positive under the
-    # rational majorant of lambda_max and is never below (s - sqrt(disc))/2
-    # with the same majorant of sqrt(disc).
-    lam_up = (Fraction(s) + sqrt_upper(disc)) / 2
+    """Certified rational upper bound for ||m^{-1}|| = 1/sigma_min(m):
+    sigma_min^2 = det(m^t m) / lambda_max, taken at lambda_max's majorant."""
+    lam_up, det_gram = _gram_top_upper(m)
     return sqrt_upper(lam_up / det_gram)

@@ -6,10 +6,15 @@ at 1-based positions, iterated level by level, and reduced to its
 canonical (shortest) form.  `MoranSystem` is the sequence of (expanding
 integer matrix, digit set) pairs, `TWord` the word sigma picking each
 level's digit scale, and `_analysis` keeps its per-level tables in the
-same type.  The measure of a system is the infinite convolution of uniform
-measures on M_1^{-1}...M_n^{-1} D_n; its Fourier transform is the infinite
-product of mask polynomials evaluated along the backward orbit
-eta_j = (M_1^* ... M_j^*)^{-1} xi.
+same type, as plain tuples: the zero scan's exact (a, b, c, d, den, zero)
+and the float evaluator's.  The measure of a system is the infinite
+convolution of uniform measures on M_1^{-1}...M_n^{-1} D_n; its Fourier
+transform is the infinite product of mask polynomials evaluated along the
+backward orbit eta_j = (M_1^* ... M_j^*)^{-1} xi.  Products along the
+levels are prefix walks (`itertools.accumulate`; `lattice.mat_product`
+keeps the last): M_1^{-1}...M_j^{-1} for the stage images of
+`attractor_stages` and the run norms of `_analysis`, M_1^*...M_j^* for
+`ZeroCertificate.verify` and the towers of `spectra`.
 
 Two evaluation paths coexist:
 
@@ -41,7 +46,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, cycle, islice
+from itertools import accumulate, chain, combinations, cycle, islice
+from operator import mul
 from typing import Callable, Generic, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .digitsets import (
@@ -189,12 +195,9 @@ def conjugate_system(sys: MoranSystem, q: Mat2) -> MoranSystem:
 # --- per-level analysis, cached on the (hashable) system -------------------
 
 
-@dataclass(frozen=True)
-class _LevelData:
-    minv_t_num: tuple[int, int, int, int]  # (M^*)^{-1} = minv_t_num / minv_t_den
-    minv_t_den: int                   # exactly, with minv_t_den > 0
-    zero: Callable[[int, int, int], bool]  # the digit set's `mask.zero_kernel`
-
+# One distinct level of the zero scan: (M^*)^{-1} = [[a, b], [c, d]] / den
+# exactly (integers, den > 0), and the digit set's `mask.zero_kernel`.
+_ExactLevel = tuple[int, int, int, int, int, Callable[[int, int, int], bool]]
 
 # One distinct level of the float evaluator: the entries a, b, c, d of
 # (M^*)^{-1} rounded to floats, the digit points as floats, #D, and the start
@@ -206,7 +209,7 @@ _FloatLevel = tuple[float, float, float, float, tuple[tuple[float, float], ...],
 
 @dataclass(frozen=True)
 class _Analysis:
-    levels: EventuallyPeriodic[_LevelData]
+    levels: EventuallyPeriodic[_ExactLevel]
     # The float levels with the period unrolled to unrolled_len: the
     # preperiod runs up to the first anchor, each period up to the next.
     float_levels: EventuallyPeriodic[_FloatLevel]
@@ -300,17 +303,14 @@ _NO_CONTRACTION = "period inverse products do not contract (no unrolling below 2
 def _analysis(sys: MoranSystem) -> _Analysis:
     levels = []
     float_levels = []
-    inverses = []
     alpha = mean_sq = cov = 0.0
     n_max = 0
     for m, d in sys.distinct():
         if m.det() == 0:
             raise SystemInvalid("system matrix is singular")
-        minv_t = m.transpose().inverse()
-        inverses.append(minv_t)
-        entries = minv_t.entries()
+        entries = m.transpose().inverse().entries()
         num, den = over_common_denominator(entries)
-        levels.append(_LevelData(tuple(num), den, zero_kernel(d)))
+        levels.append((*num, den, zero_kernel(d)))
         a, b, c, e = (float(v) for v in entries)
         pts = tuple((float(dx), float(dy)) for dx, dy in d.points())
         acc0 = complex(pts[0] == (0.0, 0.0))
@@ -328,7 +328,7 @@ def _analysis(sys: MoranSystem) -> _Analysis:
         float(inverse_norm_upper(m)) * (1.0 + 1e-12) for m, _ in sys.preperiod
     )
     p = len(sys.preperiod)
-    period = inverses[p:]
+    period = [m.inverse() for m, _ in sys.period]
     r = len(period)
     # Orbit norms in the periodic region are bounded by certified operator
     # norms of the EXACT consecutive inverse products: a run of i = c*L + s
@@ -336,7 +336,9 @@ def _analysis(sys: MoranSystem) -> _Analysis:
     # Per-level norm products would be too weak (conditioning of canonical
     # reductions does not telescope level by level but cancels in products),
     # so the period is unrolled to a length L where the full anchor products
-    # contract from every phase.
+    # contract from every phase.  The run (M_{ph+s}^* ... M_{ph+1}^*)^{-1}
+    # is the transpose of the prefix M_{ph+1}^{-1} ... M_{ph+s}^{-1}, with
+    # the same norm.
     unroll = 1
     while True:
         length = unroll * r
@@ -344,11 +346,8 @@ def _analysis(sys: MoranSystem) -> _Analysis:
         anchor_runs: list[Fraction] = []
         all_anchors_contract = True
         for phase in range(r):
-            acc = Mat2.identity()
-            runs = []
-            for step in range(1, length + 1):
-                acc = period[(phase + step - 1) % r] * acc
-                runs.append(operator_norm_upper(acc))
+            prefixes = accumulate(islice(cycle(period), phase, phase + length), mul)
+            runs = list(map(operator_norm_upper, prefixes))
             growth = max(growth, *runs)
             if runs[-1] >= 1:
                 all_anchors_contract = False
@@ -570,13 +569,19 @@ def _anchor_bound(bound: float, q: float, orbit_norm: float) -> float:
 def _screen(ana: _Analysis, eps: float, orbit_norm: float) -> tuple[float, float]:
     """(T, S): no orbit bound above T has a tail <= eps, and no computed
     eta with x^2 + y^2 above S gives a bound <= T.  T is the largest B with
-    tail(B) <= eps and S is (T - orbit ||xi||)^2 (-1 when that difference
-    is not positive), each raised by 1e-9 relative, far beyond the rounding
-    of `_tail`, `_anchor_bound` and these formulas."""
+    tail(B) <= eps, or sqrt(eps / tail_quadratic) >= it where 4
+    tail_quadratic eps overflows (inf at eps = inf), and S is (T - orbit
+    ||xi||)^2 (-1 when that difference is not positive), each raised by
+    1e-9 relative, far beyond the rounding of `_tail`, `_anchor_bound` and
+    these formulas."""
     linear, quadratic = ana.tail_linear, ana.tail_quadratic
     if not quadratic:  # every digit is 0, so every tail is 0
         return math.inf, math.inf
-    t = 2.0 * eps / (linear + math.sqrt(linear * linear + 4.0 * quadratic * eps)) * (1.0 + 1e-9)
+    disc = linear * linear + 4.0 * quadratic * eps
+    if disc < math.inf:
+        t = 2.0 * eps / (linear + math.sqrt(disc)) * (1.0 + 1e-9)
+    else:  # 4 q eps overflowed; quadratic T^2 <= eps at the root
+        t = math.sqrt(eps / quadratic) * (1.0 + 1e-9)
     s = t - orbit_norm
     return t, (s * s * (1.0 + 1e-9) if s > 0 else -1.0)
 
@@ -807,9 +812,7 @@ class ZeroCertificate:
     xi: tuple[Fraction, Fraction]
 
     def verify(self, sys: MoranSystem) -> bool:
-        acc = Mat2.identity()
-        for n in range(1, self.level + 1):
-            acc = acc * sys.level(n)[0].transpose()
+        acc = mat_product(m.transpose() for m, _ in islice(sys, self.level))
         if acc.apply(self.witness) != self.xi:
             return False
         return digit_mask_zero(sys.level(self.level)[1], self.witness)
@@ -847,15 +850,14 @@ def _zero_scan(
     `_analysis`) and the stop test run on those integers.  Raises
     CapExceeded past MAX_SCAN_LEVELS levels.
     """
-    for j, lv in enumerate(ana.levels, 1):
+    for j, (a, b, c, d, level_den, zero) in enumerate(ana.levels, 1):
         if j > MAX_SCAN_LEVELS:
             raise CapExceeded("zero scan exceeded hard cap")
-        a, b, c, d = lv.minv_t_num
-        nx, ny, den = a * nx + b * ny, c * nx + d * ny, den * lv.minv_t_den
+        nx, ny, den = a * nx + b * ny, c * nx + d * ny, den * level_den
         g = math.gcd(nx, ny, den)
         if g > 1:
             nx, ny, den = nx // g, ny // g, den // g
-        if lv.zero(nx, ny, den):
+        if zero(nx, ny, den):
             return j, nx, ny, den
         if (
             j >= ana.preperiod_len
@@ -968,12 +970,9 @@ def attractor_stages(sys: MoranSystem, depth: int) -> list[list[Vec2]]:
     the point count at 1, so no point cap bounds the depth."""
     if depth > MAX_SCAN_LEVELS:
         raise CapExceeded(f"depth {depth} exceeds the level cap {MAX_SCAN_LEVELS}")
-    stages, prefix = [], Mat2.identity()
-    for n in range(1, depth + 1):
-        m, d = sys.level(n)
-        prefix = prefix * m.inverse()
-        stages.append([prefix.apply(p) for p in d.points()])
-    return stages
+    levels = list(islice(sys, depth))
+    prefixes = accumulate((m.inverse() for m, _ in levels), mul)
+    return [[prefix.apply(p) for p in d.points()] for prefix, (_, d) in zip(prefixes, levels)]
 
 
 def _atom_count(sys: MoranSystem, depth: int, limit: int) -> tuple[Optional[int], str]:

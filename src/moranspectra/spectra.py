@@ -4,10 +4,14 @@ exact orthogonality certificates, and completeness diagnostics.
 Two constructions with deliberately different labels:
 
 * `build_tower` stacks per-level companion sets L_j = (1/2) M_j^* F_2 into
-  finite sets Lambda_k = { sum A_j l_j }.  Orthogonality of every truncation
-  is certified exactly, but the tower is only an *orthogonal candidate*: for
-  the constant (2I, canonical) system its union fills one quadrant while the
-  unique spectrum through 0 is the full integer lattice.
+  finite sets Lambda_k = { sum A_j l_j }, which `enumerate_tower` forms as
+  (1/2) sum_j P_j f_j, f_j in F_2, with P_j = M_1^* ... M_j^*: integer
+  images of F_2 for integer matrices, halved once (the recursion
+  Lambda = L_1 + M_1^* Lambda' of An-He, J. Funct. Anal. 266 (2014)).
+  Orthogonality of every truncation is certified exactly, but the tower is
+  only an *orthogonal candidate*: for the constant (2I, canonical) system
+  its union fills one quadrant while the unique spectrum through 0 is the
+  full integer lattice.
 * `build_lattice_spectrum` enumerates the lattice spectrum of the two-scale
   constant-tail family (tail in GL(2,2Z) with |det| = 4), which carries a
   completeness proof; it refuses systems whose scales fail the divisibility
@@ -23,11 +27,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
+from operator import mul
 from typing import Optional, Sequence
 
 from .classify import SPECTRAL, classify_thm16, thm16_shape
 from .lattice import (
-    Mat2,
     Vec2,
     difference_set,
     digit_expansion,
@@ -102,7 +107,9 @@ def build_tower(sys: MoranSystem) -> SpectrumTower:
 def enumerate_tower(
     tower: SpectrumTower, k: int, cap: int = DEFAULT_POINT_CAP
 ) -> list[FracVec]:
-    """The 4^k points { sum_{j<=k} A_j l_j : l_j in L_j }, exactly.
+    """The 4^k points { sum_{j<=k} A_j l_j : l_j in L_j }, exactly: as
+    A_j L_j = (1/2) P_j F_2 with P_j = M_1^* ... M_j^*, the sums of the
+    images P_j F_2 (integers for integer matrices), halved once.
 
     Raises CapExceeded past the configured point cap and ValueError if the
     sums collide (they cannot for a verified tower).
@@ -111,17 +118,11 @@ def enumerate_tower(
         raise ValueError("depth must be >= 1")
     if _atom_count(tower.system, k, cap)[0] is None:  # each level has 4 points
         raise CapExceeded(f"4^{k} tower points exceed cap {cap}")
-
-    def stages():
-        a = Mat2.identity()
-        for j in range(1, k + 1):
-            yield [a.apply(l) for l in tower.companions(j)]
-            a = a * tower.system.level(j)[0].transpose()
-
-    ints, q = digit_expansion(stages())
+    prefixes = accumulate((m.transpose() for m, _ in islice(tower.system, k)), mul)
+    ints, q = digit_expansion([p.apply(f) for f in F2] for p in prefixes)
     if len(set(ints)) != len(ints):
         raise ValueError("tower enumeration produced duplicate points")
-    return [(Fraction(x, q), Fraction(y, q)) for x, y in ints]
+    return [(Fraction(x, 2 * q), Fraction(y, 2 * q)) for x, y in ints]
 
 
 def build_lattice_spectrum(

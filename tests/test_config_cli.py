@@ -402,6 +402,21 @@ assert "numpy" in sys.modules
         bad = HADAMARD_OK.replace(" 1,1", "")
         assert main(["hadamard", write(tmp_path, bad)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fourier", "--xi", "0.3,0.7"],
+        ["spectrum", "--xi=0.3,0.7"],
+        ["emit", "--depth", "2"],
+    ], ids=["fourier", "spectrum", "emit"])
+    @pytest.mark.parametrize("eps", ["inf", "1e308"])
+    def test_huge_eps_exit_0(self, tmp_path, capsys, argv, eps):
+        """An eps whose 4 q eps overflows made the tail screen 0, or NaN at
+        inf, so every product ran to the level cap (exit 4)."""
+        args = [argv[0], write(tmp_path, CONST_2I), *argv[1:], "--eps", eps]
+        if argv[0] == "emit":
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+
     def test_zero_denominator_xi_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, CONST_2I)
         assert main(["zero", path, "--xi", "1/0,1"]) == 2
@@ -742,10 +757,10 @@ xi_strings = st.one_of(
 )
 flag_values = st.one_of(
     xi_strings,
-    st.sampled_from(["-1", "0", "1", "2", "3", "tower", "lattice", "1e9", "nan"]),
+    st.sampled_from(["-1", "0", "1", "2", "3", "tower", "lattice", "1e9", "nan", "inf", "1e308"]),
 )
 flags = st.sampled_from(["--xi", "--eps", "--depth", "--box", "--grid", "--level",
-                         "--oracle-cap", "--kind", "--cap", "--check", "--out", "--bogus"])
+                         "--kind", "--cap", "--check", "--out", "--bogus"])
 commands = st.sampled_from(["validate", "classify", "hadamard", "zero", "fourier",
                             "spectrum", "oracle", "emit", "", "nope", "-h"])
 

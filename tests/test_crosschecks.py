@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 import warnings
@@ -564,6 +565,44 @@ def test_difference_set_path():
         assert peak < 2**18  # the depth-5 bitset alone would be 5.4 MB
 
 
+# The certify towers under both conjugators, and a reduced system whose
+# level-1 matrix (2/9) I has Fraction entries.
+PREFIX_SYSTEMS = [conjugate_system(CROSS_SYSTEMS[name], q)
+                  for name in CERTIFY for q in UNIMODULAR[:2]]
+PREFIX_SYSTEMS.append(reduce_canonical(CROSS_SYSTEMS["9to3"]))
+
+
+def test_tower_equals_companion_sums():
+    """`enumerate_tower` sums the integer images M_1^* ... M_j^* F_2 and
+    halves once; the reference is the construction itself, the sums
+    sum_j A_j l_j over the companions l_j in L_j = (1/2) M_j^* F_2 with
+    A_j = M_1^* ... M_{j-1}^*, in Fractions, first level slowest."""
+    assert not PREFIX_SYSTEMS[-1].preperiod[0][0].is_integral()
+    for sysm in PREFIX_SYSTEMS:
+        tower = build_tower(sysm)
+        for k in (1, 2, 3, 4):
+            sums, a = [(Fraction(0), Fraction(0))], Mat2.identity()
+            for j in range(1, k + 1):
+                sums = [(x + lx, y + ly) for x, y in sums for lx, ly in map(a.apply, tower.companions(j))]
+                a = a * sysm.level(j)[0].transpose()
+            got = enumerate_tower(tower, k)
+            assert got == sums, (sysm, k)
+            assert all(type(c) is Fraction for p in got for c in p)
+
+
+def test_attractor_stages_equal_prefix_loop():
+    """The stage images M_1^{-1} ... M_j^{-1} D_j, against the prefix
+    product written out level by level."""
+    for sysm in PREFIX_SYSTEMS + [reduce_canonical(MIXED)]:
+        for k in (1, 2, 3, 4):
+            prefix, stages = Mat2.identity(), []
+            for n in range(1, k + 1):
+                m, d = sysm.level(n)
+                prefix = prefix * m.inverse()
+                stages.append([prefix.apply(p) for p in d.points()])
+            assert attractor_stages(sysm, k) == stages, (sysm, k)
+
+
 def _first_appearances(points):
     """Sign-canonical differences in order of first appearance along the
     pair walk."""
@@ -923,6 +962,22 @@ def test_fourier_many_matches_fourier(count):
     assert [_cut(res) for res in got] == [_cut(fourier(UNCONTROLLED, xi, 1e-8)) for xi in points]
     assert got[0].value == 1 and got[0].bound <= 1e-8
     assert all(res.bound == math.inf for res in got[1:])
+
+
+@pytest.mark.parametrize("eps", [1e300, 1e308, sys.float_info.max, math.inf])
+def test_fourier_at_huge_eps(eps):
+    """Where 4 q eps overflowed, the tail screen read 0 (NaN at eps = inf),
+    no anchor passed it, and every product ran to the level cap.  Each
+    point now stops at the first anchor, the preperiod's end, as in the
+    unscreened reference loop, in `fourier` and `fourier_many` alike."""
+    rng = random.Random(2525)
+    for name, sysm in FOURIER_SYSTEMS.items():
+        points = _float_points(rng, 8) + [(0.0, 0.0), (1e-300, 0.0)]
+        for xi, res in zip(points, fourier_many(sysm, points, eps)):
+            ref = _reference_fourier(sysm, xi, eps)
+            assert fourier(sysm, xi, eps) == ref, (name, xi)
+            assert _cut(res) == _cut(ref) and abs(res.value - ref.value) <= 1e-14, (name, xi)
+            assert ref.levels == len(sysm.preperiod)
 
 
 @pytest.mark.parametrize(
