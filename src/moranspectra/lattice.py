@@ -22,6 +22,7 @@ point or 2^22 bits in all.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -235,10 +236,11 @@ _BITSET_BITS_PER_POINT = 512
 _BITSET_MAX_BITS = 1 << 22
 
 
-def difference_set(ints: Sequence[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
+def difference_set(ints: Sequence[tuple[int, int]]) -> Optional[tuple[list[int], list[int]]]:
     """The distinct sign-canonical differences (dx, dy) of distinct integer
-    points (dx > 0, or dx == 0 < dy), in no promised order, or None when the
-    points are too sparse for the bitset.
+    points (dx > 0, or dx == 0 < dy), in no promised order, as the columns
+    (dxs, dys) that the block zero scan takes, or None when the points are
+    too sparse for the bitset.
 
     Each point is one int z = x W + (y - y0), with y0 = min y, h = max y - y0
     and W = 2h + 1, so that z_j - z_i = dx W + dy with |dy| <= h never wraps.
@@ -247,9 +249,11 @@ def difference_set(ints: Sequence[tuple[int, int]]) -> Optional[list[tuple[int, 
     0 is the point itself, and bit i > 0 decodes as divmod(i + h, W) - (0, h)
     (Knuth, TAOCP 4A, 7.1.3).  The span max z - min z is checked against
     512 bits per point and 2^22 bits in all before any bitset is built.
+    The set bits are found by one regular-expression scan of the bit
+    string, and no tuple is made per difference.
     """
     if len(ints) < 2:
-        return []
+        return [], []
     y0 = min(y for _, y in ints)
     h = max(y for _, y in ints) - y0
     w = 2 * h + 1
@@ -264,14 +268,9 @@ def difference_set(ints: Sequence[tuple[int, int]]) -> Optional[list[tuple[int, 
     hits = 0
     for k in offsets:
         hits |= s >> k
-    bits = bin(hits)[:1:-1]  # bits[i] is bit i
-    out = []
-    i = bits.find("1", 1)
-    while i > 0:
-        dx, dy = divmod(i + h, w)
-        out.append((dx, dy - h))
-        i = bits.find("1", i + 1)
-    return out
+    bits = bin(hits)[:1:-1]  # bits[i] is bit i; bit 0, the point itself, is set
+    shifted = [one.start() + h for one in re.finditer("1", bits)][1:]
+    return [i // w for i in shifted], [i % w - h for i in shifted]
 
 
 # --- certified rational bounds -------------------------------------------

@@ -36,7 +36,10 @@ Two evaluation paths coexist:
                    numerators over one reduced denominator, that either
                    produces a level-j witness in Z(m_{D_j}) or proves no
                    level can vanish because ||eta_j|| fell below the minimal
-                   norm any mask zero must have.
+                   norm any mask zero must have.  The scan (`_zero_scan`)
+                   takes a block of points level by level; this is the
+                   block of one, and `spectra.verify_orthogonality` scans a
+                   set's distinct differences as blocks.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, cycle, islice
 from operator import mul
 from typing import Callable, Generic, Iterable, Iterator, Optional, Sequence, TypeVar
@@ -127,11 +130,7 @@ class EventuallyPeriodic(Generic[T]):
         return self.period[(n - p - 1) % len(self.period)]
 
     def __iter__(self) -> Iterator[T]:
-        # Most sequences have no preperiod, and a zero scan usually stops
-        # within three levels, so an empty chain in front is a measurable
-        # share of its cost.
-        periodic = cycle(self.period)
-        return chain(self.preperiod, periodic) if self.preperiod else periodic
+        return chain(self.preperiod, cycle(self.period))
 
     def distinct(self) -> tuple[T, ...]:
         """One entry per position of the representation: preperiod, then period."""
@@ -168,6 +167,15 @@ class MoranSystem(EventuallyPeriodic[Level]):
         return MoranSystem((), ((matrix, digits),))
 
     level = EventuallyPeriodic.at
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # `_analysis` hashes its system on every lookup; the nested level
+        # tuples are hashed on the first one only.
+        return hash((self.preperiod, self.period))
 
     def matrices(self) -> tuple[Mat2, ...]:
         return tuple(m for m, _ in self.distinct())
@@ -826,10 +834,11 @@ def fourier_zero_exact(sys: MoranSystem, xi) -> Optional[ZeroCertificate]:
     is at most G ||eta_j|| with G the largest consecutive-run contraction
     product over the period, so when G ||eta_j|| drops below the smallest
     norm any mask zero can have, no later level can vanish and the scan
-    stops with None.  The scan itself is `_zero_scan`.
+    stops with None.  The scan is `_zero_scan` on a block of one point; the
+    witness is reduced to lowest terms here.
     """
     (nx, ny), den = over_common_denominator(xi)
-    hit = _zero_scan(_analysis(sys), nx, ny, den)
+    hit = _zero_scan(_analysis(sys), (nx,), (ny,), den)[0]
     if hit is None:
         return None
     level, wx, wy, wden = hit
@@ -837,33 +846,53 @@ def fourier_zero_exact(sys: MoranSystem, xi) -> Optional[ZeroCertificate]:
     return ZeroCertificate(level, witness, (Fraction(nx, den), Fraction(ny, den)))
 
 
-def _zero_scan(
-    ana: _Analysis, nx: int, ny: int, den: int
-) -> Optional[tuple[int, int, int, int]]:
-    """The zero scan of `fourier_zero_exact` at xi = (nx, ny) / den, den > 0:
-    the first level j whose mask vanishes at eta_j = (nx', ny') / den', as
-    (j, nx', ny', den'), or None once no later level can vanish.
+_ZeroHit = tuple[int, int, int, int]
 
-    The orbit is carried as integer numerators over one denominator, reduced
-    by their gcd at every level, so the result does not depend on how xi was
-    scaled; each level's zero test (`mask.zero_kernel`, chosen once by
-    `_analysis`) and the stop test run on those integers.  Raises
-    CapExceeded past MAX_SCAN_LEVELS levels.
+
+def _zero_scan(
+    ana: _Analysis, xs: Sequence[int], ys: Sequence[int], den: int
+) -> list[Optional[_ZeroHit]]:
+    """The zero scan of `fourier_zero_exact` at every point xi_k = (xs[k],
+    ys[k]) / den of a block, den > 0: for each point the first level j whose
+    mask vanishes at eta_j = (nx, ny) / den', as (j, nx, ny, den'), or None
+    once no later level can vanish there.
+
+    The scan is level-major: the level table is walked once for the block,
+    and at each level the points still undecided are mapped together.  Their
+    orbits are carried as integer numerators over one denominator, reduced
+    by the gcd of the whole block, so a hit need not be in lowest terms.
+    Each level's zero test (`mask.zero_kernel`, chosen once by `_analysis`)
+    and the stop test run on those integers, and neither depends on how a
+    point is scaled, so every point is decided at the level a block of one
+    would decide it.  Raises CapExceeded when a point is undecided past
+    MAX_SCAN_LEVELS levels.
     """
+    hits: list[Optional[_ZeroHit]] = [None] * len(xs)
+    live: Sequence[int] = range(len(xs))
+    scale = ana.stop_scale
     for j, (a, b, c, d, level_den, zero) in enumerate(ana.levels, 1):
         if j > MAX_SCAN_LEVELS:
             raise CapExceeded("zero scan exceeded hard cap")
-        nx, ny, den = a * nx + b * ny, c * nx + d * ny, den * level_den
-        g = math.gcd(nx, ny, den)
+        xs, ys = [a * x + b * y for x, y in zip(xs, ys)], [c * x + d * y for x, y in zip(xs, ys)]
+        den *= level_den
+        g = math.gcd(den, *xs, *ys)
         if g > 1:
-            nx, ny, den = nx // g, ny // g, den // g
-        if zero(nx, ny, den):
-            return j, nx, ny, den
-        if (
-            j >= ana.preperiod_len
-            and (nx * nx + ny * ny) * ana.stop_scale < ana.stop_floor * den * den
-        ):
-            return None
+            den //= g
+            xs, ys = [x // g for x in xs], [y // g for y in ys]
+        # No point stops inside the preperiod: a floor of 0 keeps them all.
+        floor = ana.stop_floor * den * den if j >= ana.preperiod_len else 0
+        live_next, xs_next, ys_next = [], [], []
+        for k, x, y in zip(live, xs, ys):
+            if zero(x, y, den):
+                hits[k] = (j, x, y, den)
+            elif (x * x + y * y) * scale >= floor:
+                live_next.append(k)
+                xs_next.append(x)
+                ys_next.append(y)
+        if not live_next:
+            break
+        live, xs, ys = live_next, xs_next, ys_next
+    return hits
 
 
 # --- words over scaled digit alphabets (the |det| = 4 families) -------------

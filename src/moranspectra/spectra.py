@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .classify import SPECTRAL, classify_thm16, thm16_shape
 from .lattice import (
@@ -46,6 +46,7 @@ from .moran import (
     DEFAULT_POINT_CAP,
     MoranSystem,
     OutOfTheoryError,
+    _Analysis,
     _analysis,
     _atom_count,
     _float_point,
@@ -188,14 +189,16 @@ def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> Orthogonal
 
     The points are scaled once to integer numerators over one common
     denominator q.  The zero set is symmetric under negation, so each
-    distinct sign-canonical difference is certified once, by the zero scan
-    of `fourier_zero_exact`.  A dense set first scans the differences of
-    `difference_set` in any order; if all pass, every pair is certified.
-    Otherwise, and for a set too sparse for the bitset, the differences are
-    scanned in order of first appearance along the pair walk (i < j, row by
-    row), and the walk stops at the first failure.  Either way the result is
-    that of the pair walk: the first failing pair in enumeration order, the
-    pairs walked up to it, and the distinct differences met.
+    distinct sign-canonical difference is certified once, by the block zero
+    scan of `fourier_zero_exact`, and none is scanned twice.  A dense set
+    scans all the differences of `difference_set` as one block; if all pass,
+    every pair is certified.  Otherwise the failing ones are kept, and the
+    pair walk (i < j, row by row) looks its distinct differences up in that
+    set, in order of first appearance, up to the first failure.  A set too
+    sparse for the bitset scans the walk's differences in blocks of 1, 2,
+    4, ..., so an early failure still stops the walk early.  Either way the
+    result is that of the pair walk: the first failing pair in enumeration
+    order, the pairs walked up to it, and the distinct differences met.
     """
     ints, q = digit_expansion([points])
     if len(set(ints)) != len(ints):
@@ -206,18 +209,46 @@ def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> Orthogonal
         return OrthogonalityResult(True, None, 0, 0)
     ana = _analysis(sys)
     diffs = difference_set(ints)
-    if diffs is not None and all(_zero_scan(ana, dx, dy, q) is not None for dx, dy in diffs):
-        return OrthogonalityResult(True, None, n * (n - 1) // 2, len(diffs))
-    distinct = 0
-    for i, dx, dy in distinct_differences(ints):
-        distinct += 1
-        if _zero_scan(ana, dx, dy, q) is None:
-            xi, yi = ints[i]
-            pair = ((xi - dx, yi - dy), (xi + dx, yi + dy))
-            j = next(j for j in range(i + 1, n) if ints[j] in pair)
-            failing = tuple((Fraction(x, q), Fraction(y, q)) for x, y in (ints[i], ints[j]))
-            return OrthogonalityResult(False, failing, i * n - i * (i + 1) // 2 + j - i, distinct)
-    return OrthogonalityResult(True, None, n * (n - 1) // 2, distinct)
+    if diffs is None:
+        distinct, failure = _first_failure_in_blocks(ana, distinct_differences(ints), q)
+    else:
+        xs, ys = diffs
+        hits = _zero_scan(ana, xs, ys, q)
+        failing = {(x, y) for x, y, hit in zip(xs, ys, hits) if hit is None}
+        if not failing:
+            return OrthogonalityResult(True, None, n * (n - 1) // 2, len(xs))
+        distinct, failure = next(
+            (k, (i, dx, dy))
+            for k, (i, dx, dy) in enumerate(distinct_differences(ints), 1)
+            if (dx, dy) in failing
+        )
+    if failure is None:
+        return OrthogonalityResult(True, None, n * (n - 1) // 2, distinct)
+    i, dx, dy = failure
+    xi, yi = ints[i]
+    pair = ((xi - dx, yi - dy), (xi + dx, yi + dy))
+    j = next(j for j in range(i + 1, n) if ints[j] in pair)
+    failing_pair = tuple((Fraction(x, q), Fraction(y, q)) for x, y in (ints[i], ints[j]))
+    return OrthogonalityResult(False, failing_pair, i * n - i * (i + 1) // 2 + j - i, distinct)
+
+
+def _first_failure_in_blocks(
+    ana: _Analysis, walk: Iterator[tuple[int, int, int]], q: int
+) -> tuple[int, Optional[tuple[int, int, int]]]:
+    """The entries (i, dx, dy) of the walk, their differences (dx, dy) / q
+    zero-scanned in blocks of 1, 2, 4, ... entries up to the block that
+    holds the first failure: (entries met up to the first failing one,
+    that entry), or (entries in the walk, None) when none fails.  The scans
+    cover fewer than twice the entries met."""
+    met, size = 0, 1
+    while block := list(islice(walk, size)):
+        hits = _zero_scan(ana, [dx for _, dx, _ in block], [dy for _, _, dy in block], q)
+        if None in hits:
+            k = hits.index(None)
+            return met + k + 1, block[k]
+        met += len(block)
+        size *= 2
+    return met, None
 
 
 def completeness_sum(

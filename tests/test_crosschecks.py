@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import float_rows
@@ -548,10 +548,10 @@ def test_difference_set_path():
             tower = enumerate_tower(build_tower(conjugate_system(CROSS_SYSTEMS[name], q)), 4)
             ints = digit_expansion([tower])[0]
             walk = sorted((dx, dy) for _, dx, dy in distinct_differences(ints))
-            assert sorted(difference_set(ints)) == walk, (name, q)
+            assert sorted(zip(*difference_set(ints))) == walk, (name, q)
     for box, count in ((8, 544), (32, 8320)):
         ints = digit_expansion([build_lattice_spectrum(CROSS_SYSTEMS["2I"], box)])[0]
-        assert len(difference_set(ints)) == count
+        assert len(difference_set(ints)[0]) == count
     sparse = (enumerate_tower(build_tower(CROSS_SYSTEMS["4224"]), 5),
               EDGE_WALKS["numerators past 2^63"][1])
     for pts in sparse:
@@ -616,18 +616,20 @@ def _first_appearances(points):
 
 
 def test_orthogonality_scans_each_difference_once_in_order(monkeypatch):
-    """A set the bitset takes scans each distinct difference once, in any
-    order, if it is orthogonal.  If it is not, the bitset pass (distinct
-    differences up to the first failing one) is followed by the ordered
-    walk: the differences in order of first appearance up to the first
-    failure, and no further.  A set over the guard scans the walk alone."""
+    """No distinct difference is zero-scanned twice.  A set the bitset takes
+    is scanned as one block that holds each distinct difference once,
+    whether it is orthogonal or not: a failing one then looks the pair
+    walk's differences up among that block's failures and scans nothing
+    more.  A set over the guard scans the walk's differences in blocks of
+    1, 2, 4, ..., which concatenate to the walk's order and end with the
+    block that holds the first failure."""
     from moranspectra import spectra
 
-    scanned = []
+    blocks = []
 
-    def spy(ana, nx, ny, den):
-        scanned.append((Fraction(nx, den), Fraction(ny, den)))
-        return moran._zero_scan(ana, nx, ny, den)
+    def spy(ana, xs, ys, den):
+        blocks.append([(Fraction(x, den), Fraction(y, den)) for x, y in zip(xs, ys)])
+        return moran._zero_scan(ana, xs, ys, den)
 
     monkeypatch.setattr(spectra, "_zero_scan", spy)
     rng = random.Random(505)
@@ -644,26 +646,29 @@ def test_orthogonality_scans_each_difference_once_in_order(monkeypatch):
     for sysm, pts in cases:
         if len(set(pts)) != len(pts):
             continue
-        scanned.clear()
+        blocks.clear()
         got = verify_orthogonality(sysm, pts)
         order = _first_appearances(pts)
+        scanned = [d for block in blocks for d in block]
+        if not order:
+            assert blocks == []
+            continue
         dense = difference_set(digit_expansion([pts])[0]) is not None
+        if dense:
+            assert len(blocks) == 1 and sorted(scanned) == sorted(order)
+        else:
+            assert all(len(block) == 2**k for k, block in enumerate(blocks[:-1]))
+            assert 0 < len(blocks[-1]) <= 2 ** (len(blocks) - 1)
+            assert scanned == order[:len(scanned)]
         if got.ok:
-            assert got.distinct_differences == len(order)
-            assert (sorted(scanned) == sorted(order)) if dense else (scanned == order)
+            assert got.distinct_differences == len(order) == len(scanned)
             continue
         failures[dense] += 1
-        cut = len(scanned) - got.distinct_differences
-        bitset_pass, walk = scanned[:cut], scanned[cut:]
-        assert walk == order[:got.distinct_differences]
-        assert fourier_zero_exact(sysm, walk[-1]) is None
-        assert all(fourier_zero_exact(sysm, d) is not None for d in walk[:-1])
-        if dense:
-            assert len(set(bitset_pass)) == len(bitset_pass) and set(bitset_pass) <= set(order)
-            assert fourier_zero_exact(sysm, bitset_pass[-1]) is None
-            assert all(fourier_zero_exact(sysm, d) is not None for d in bitset_pass[:-1])
-        else:
-            assert bitset_pass == []
+        met = order[:got.distinct_differences]
+        assert fourier_zero_exact(sysm, met[-1]) is None
+        assert all(fourier_zero_exact(sysm, d) is not None for d in met[:-1])
+        if not dense:
+            assert len(scanned) - len(blocks[-1]) < len(met) <= len(scanned)
     assert failures[True] >= 2 and failures[False] >= 3
 
 
@@ -705,6 +710,44 @@ def test_zero_certificates_match_fraction_scan():
     start = time.perf_counter()
     assert _reference_zero_scan(sum16, big) is None
     assert time.perf_counter() - start < 0.1
+
+
+ZERO_SCAN_SYSTEMS = {
+    "mixed": MIXED,
+    "mixed reduced": reduce_canonical(MIXED),
+    "sum16": MoranSystem.constant(Mat2.scalar(12), SUM16),
+    "shear": CROSS_SYSTEMS["shear"],
+}
+
+
+@settings(max_examples=120)
+@seed(2525)
+@example("mixed", [], 3)
+@example("mixed reduced", [(3, -6)], 4)
+@example("sum16", [(0, 0), (1, 0), (6, 6), (-60, 12), (1, 7)], 12)
+@given(
+    st.sampled_from(sorted(ZERO_SCAN_SYSTEMS)),
+    st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)), max_size=12),
+    st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 24]),
+)
+def test_block_zero_scan_matches_fraction_scan(name, block, den):
+    """Each point (x, y) / den of a block over one shared denominator gets
+    the level and witness of the Fraction scan of that point alone, or None
+    where that scan finds none; so does the block of its first point, and
+    the empty block gets no entry."""
+    sysm = ZERO_SCAN_SYSTEMS[name]
+    ana = moran._analysis(sysm)
+
+    def scan(points):
+        hits = moran._zero_scan(ana, [x for x, _ in points], [y for _, y in points], den)
+        assert len(hits) == len(points)
+        return [hit and (hit[0], (Fraction(hit[1], hit[3]), Fraction(hit[2], hit[3]))) for hit in hits]
+
+    got = scan(block)
+    for (x, y), hit in zip(block, got):
+        ref = _reference_zero_scan(sysm, (Fraction(x, den), Fraction(y, den)))
+        assert hit == (ref and (ref.level, ref.witness)), (name, x, y, den)
+    assert scan(block[:1]) == got[:1]
 
 
 def test_oracle_matches_per_pair_unity_sums():

@@ -191,8 +191,9 @@ def test_difference_set_is_the_walks_set(pts):
     got = difference_set(pts)
     assert (got is None) == (max(zs) - min(zs) > 512 * len(pts))
     if got is not None:
-        assert len(got) == len(set(got))
-        assert set(got) == {(dx, dy) for _, dx, dy in distinct_differences(pts)}
+        pairs = list(zip(*got))
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {(dx, dy) for _, dx, dy in distinct_differences(pts)}
 
 
 def test_difference_set_cap():
@@ -201,5 +202,5 @@ def test_difference_set_cap():
     spanning 2^22 + 1 does not."""
     row = [(x, 0) for x in range(8192)]
     got = difference_set(row + [(2**22, 0)])
-    assert sorted(got) == [(d, 0) for d in range(1, 8192)] + [(d, 0) for d in range(2**22 - 8191, 2**22 + 1)]
+    assert sorted(zip(*got)) == [(d, 0) for d in range(1, 8192)] + [(d, 0) for d in range(2**22 - 8191, 2**22 + 1)]
     assert difference_set(row + [(2**22 + 1, 0)]) is None

@@ -454,3 +454,20 @@ class TestAnalysis:
         with pytest.raises(SystemInvalid, match="period inverse products do not contract"):
             moran._analysis(sysm)
         assert len(calls) <= len(sysm.distinct())
+
+    def test_cache_hit_hashes_no_level(self, monkeypatch):
+        """A system hashes its levels once: a repeat `_analysis` lookup hashes
+        no matrix and no digit set.  Equal systems, `replace` included,
+        still share one hash and one cache entry."""
+        generic = GenericDigitSet(((0, 0), (1, 0), (0, 3)))
+        sysm = MoranSystem(((I3, generic),), ((I4, D0), (SHEAR2, scaled_canonical(3))))
+        first = moran._analysis(sysm)
+        hashed = []
+        for cls in (Mat2, StructuredDigitSet, GenericDigitSet):
+            original = cls.__hash__
+            monkeypatch.setattr(cls, "__hash__", lambda s, h=original: hashed.append(s) or h(s))
+        assert moran._analysis(sysm) is first
+        assert hashed == []
+        twin = replace(sysm, preperiod=sysm.preperiod)
+        assert twin == sysm and hash(twin) == hash(sysm) and twin is not sysm
+        assert hashed and moran._analysis(twin) is first
