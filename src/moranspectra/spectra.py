@@ -257,8 +257,8 @@ def completeness_sum(
     """Q(xi) = sum_{lambda} |mu^(xi + lambda)|^2 over the finite candidate set.
 
     The terms come from one batched `fourier_many` call at the float points
-    xi + lambda, each with Fourier tolerance eps / #points; summation order
-    is the given point order, so reports are reproducible.
+    xi + lambda, each with Fourier tolerance eps / #points, and `math.fsum`
+    returns their correctly rounded sum, so Q depends only on the set.
     """
     if not eps > 0:
         raise ValueError("tolerance must be positive")
@@ -266,10 +266,7 @@ def completeness_sum(
         return 0.0
     x, y = _float_point(xi)
     shifted = ((x + float(lx), y + float(ly)) for lx, ly in points)
-    total = 0.0
-    for res in fourier_many(sys, shifted, eps / len(points)):
-        total += abs(res.value) ** 2
-    return total
+    return math.fsum(abs(res.value) ** 2 for res in fourier_many(sys, shifted, eps / len(points)))
 
 
 @dataclass(frozen=True)
@@ -358,12 +355,15 @@ def discrete_spectrum_oracle(
     (1/size) sum_a e(a . d) for the difference d of its two candidates, so it
     depends only on the counts of a . d mod q over one common denominator q.
     The atoms are the sumset of the stage images, so for each distinct
-    sign-canonical d the counts are built stage by stage.  Each distinct
-    count pattern is decided once: its exact vanishing (`unitary`) and its
-    modulus; `residual`, the largest off-diagonal |H*H| entry, is only
-    reported.  The pattern memo is cleared once its keys hold 16 size
-    residues, so memory stays O(size) for any q.  A candidate whose size is
-    not the atom count is refused before any atom is built.
+    sign-canonical d of `difference_set` (of the walk `distinct_differences`
+    for a candidate too sparse for the bitset, or with a repeated point,
+    whose zero difference the bitset drops) the counts are built stage by
+    stage.  Each count pattern is decided once: its exact vanishing
+    (`unitary`) and its modulus, summed in residue order, so `residual`, the
+    largest off-diagonal |H*H| entry, depends only on the candidate set.
+    The pattern memo is cleared once its keys hold 16 size residues, so
+    memory stays O(size) for any q.  A candidate whose size is not the atom
+    count is refused before any atom is built.
     """
     if n < 1:
         raise ValueError(f"oracle level must be >= 1, got {n}")
@@ -379,7 +379,9 @@ def discrete_spectrum_oracle(
     unitary, largest = True, 0.0
     moduli: dict[frozenset, float] = {}  # count pattern -> |sum_k c_k e(k/q)|
     stored = 0  # residues held by the patterns in `moduli`
-    for _, dx, dy in distinct_differences(pts_i):
+    diffs = difference_set(pts_i) if len(set(pts_i)) == size else None
+    pairs = zip(*diffs) if diffs else ((dx, dy) for _, dx, dy in distinct_differences(pts_i))
+    for dx, dy in pairs:
         counts = _residue_counts(stages, dx, dy, q)
         # size distinct residues all count 1, so they alone are the pattern
         pattern = frozenset(counts if len(counts) == size else counts.items())
@@ -391,10 +393,8 @@ def discrete_spectrum_oracle(
             if stored > 16 * size:
                 moduli.clear()
                 stored = 0
-            total = 0j
-            for k, c in counts.items():
-                total += c * cmath.rect(1.0, TWO_PI * k / q)
-            modulus = moduli[pattern] = abs(total)
+            terms = (c * cmath.rect(1.0, TWO_PI * k / q) for k, c in sorted(counts.items()))
+            modulus = moduli[pattern] = abs(sum(terms))
             stored += len(counts)
         largest = max(largest, modulus)
     return OracleReport(unitary=unitary, residual=largest / size)

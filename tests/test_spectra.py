@@ -46,6 +46,15 @@ SYS4 = MoranSystem.constant(I4, D0)
 
 F2 = [(Fraction(i), Fraction(j)) for i in (0, 1) for j in (0, 1)]
 
+# The systems the certify benchmark runs the oracle on, unconjugated.
+CERTIFY_SYSTEMS = {
+    "2I": SYS2,
+    "4I": SYS4,
+    "shear": MoranSystem.constant(Mat2(2, 2, 0, 2), D0),
+    "4224": MoranSystem.constant(Mat2(4, 2, 2, 4), D0),
+    "9to3": MoranSystem(((I2, scaled_canonical(9)),), ((I2, scaled_canonical(3)),)),
+}
+
 # Structured levels with even and odd matrices; [[1, 1], [-1, 1]] breaks
 # T1.1's |det| >= 4 and diag(1, 4) its expansion hypothesis.
 STRUCTURED_LEVELS = st.tuples(
@@ -377,7 +386,60 @@ class TestCompleteness:
         assert q_lattice > 0.88
 
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12])
+    def test_sum_depends_only_on_the_set(self, eps):
+        """Q is a sum over a set: shuffling the box-16 lattice or the
+        depth-5 tower leaves it unchanged to the last bit."""
+        rng = random.Random(2601)
+        for pts in (build_lattice_spectrum(SYS2, 16), enumerate_tower(build_tower(SYS2), 5)):
+            xi = (rng.random(), rng.random())
+            q = completeness_sum(SYS2, pts, xi, eps)
+            for _ in range(10):
+                shuffled = rng.sample(pts, len(pts))
+                assert completeness_sum(SYS2, shuffled, xi, eps) == q
+
+
 class TestOracle:
+    def test_report_depends_only_on_the_set(self):
+        """Both fields of the report are functions of the candidate set:
+        five shuffles of each certify tower at levels 2 and 3 give the same
+        report to the last bit."""
+        rng = random.Random(2602)
+        for name, sysm in CERTIFY_SYSTEMS.items():
+            tower = build_tower(sysm)
+            for level in (2, 3):
+                pts = enumerate_tower(tower, level)
+                rep = discrete_spectrum_oracle(sysm, level, pts)
+                assert rep.unitary, (name, level)
+                for _ in range(5):
+                    shuffled = rng.sample(pts, len(pts))
+                    assert discrete_spectrum_oracle(sysm, level, shuffled) == rep, (name, level)
+
+    def test_repeated_point_is_not_unitary(self):
+        """A repeated candidate makes two equal columns of H, so H*H has an
+        off-diagonal 1; the bitset drops that zero difference, so the walk
+        must see it."""
+        pts = [(0, 0), (0, 0), (1, 0), (0, 1)]
+        assert discrete_spectrum_oracle(SYS2, 1, pts) == spectra.OracleReport(False, 1.0)
+
+    def test_walk_only_without_the_bitset(self, monkeypatch):
+        """A dense candidate takes its differences from `difference_set`
+        alone; the unconjugated [[4,2],[2,4]] level-3 tower is too sparse
+        for the bitset and walks."""
+        calls = []
+        walk = spectra.distinct_differences
+
+        def spy(ints):
+            calls.append(len(ints))
+            return walk(ints)
+
+        monkeypatch.setattr(spectra, "distinct_differences", spy)
+        assert discrete_spectrum_oracle(SYS2, 5, enumerate_tower(build_tower(SYS2), 5))
+        assert calls == []
+        sysm = CERTIFY_SYSTEMS["4224"]
+        assert discrete_spectrum_oracle(sysm, 3, enumerate_tower(build_tower(sysm), 3))
+        assert calls == [64]
+
     def test_4i_level_one(self):
         tower = build_tower(SYS4)
         rep = discrete_spectrum_oracle(SYS4, 1, enumerate_tower(tower, 1))
