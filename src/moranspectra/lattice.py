@@ -301,16 +301,19 @@ def sqrt_upper(x: Scalar) -> Fraction:
     return Fraction(s if s * s == n else s + 1, scale)
 
 
-def _gram_top_upper(m: Mat2) -> tuple[Fraction, Scalar]:
-    """(a rational majorant of lambda_max(m^t m), det(m^t m)): lambda_max is
-    (s + sqrt(s^2 - 4 det)) / 2 with s = tr(m^t m)."""
+def _gram_top_upper(m: Mat2, den: int = 1) -> tuple[Fraction, Fraction]:
+    """(a rational majorant of lambda_max(A^t A), det(A^t A)) for A = m / den:
+    lambda_max is (s + sqrt(s^2 - 4 det)) / 2 with s = tr(A^t A)."""
     s, det_gram = gram_trace_det(m)
-    return (Fraction(s) + sqrt_upper(s * s - 4 * det_gram)) / 2, det_gram
+    s, det_gram = Fraction(s, den**2), Fraction(det_gram, den**4)
+    return (s + sqrt_upper(s * s - 4 * det_gram)) / 2, det_gram
 
 
-def operator_norm_upper(m: Mat2) -> Fraction:
-    """Certified rational upper bound for ||m|| (largest singular value)."""
-    return sqrt_upper(_gram_top_upper(m)[0])
+def operator_norm_upper(m: Mat2, den: int = 1) -> Fraction:
+    """Certified rational upper bound for ||m / den|| (largest singular
+    value), den > 0: the same Fraction as for the matrix m / den, whose Gram
+    trace and determinant are m's over den^2 and den^4."""
+    return sqrt_upper(_gram_top_upper(m, den)[0])
 
 
 def inverse_norm_upper(m: Mat2) -> Fraction:

@@ -13,8 +13,10 @@ transform is the infinite product of mask polynomials evaluated along the
 backward orbit eta_j = (M_1^* ... M_j^*)^{-1} xi.  Products along the
 levels are prefix walks (`itertools.accumulate`; `lattice.mat_product`
 keeps the last): M_1^{-1}...M_j^{-1} for the stage images of
-`attractor_stages` and the run norms of `_analysis`, M_1^*...M_j^* for
-`ZeroCertificate.verify` and the towers of `spectra`.
+`attractor_stages`, M_1^*...M_j^* for `ZeroCertificate.verify` and the
+towers of `spectra`.  The level table's integer (M^*)^{-1} over den is the
+one exact form of a level's inverse in `_analysis`: the zero scan walks it,
+and the run norms multiply its transposes.
 
 Two evaluation paths coexist:
 
@@ -336,39 +338,31 @@ def _analysis(sys: MoranSystem) -> _Analysis:
         float(inverse_norm_upper(m)) * (1.0 + 1e-12) for m, _ in sys.preperiod
     )
     p = len(sys.preperiod)
-    period = [m.inverse() for m, _ in sys.period]
-    r = len(period)
     # Orbit norms in the periodic region are bounded by certified operator
     # norms of the EXACT consecutive inverse products: a run of i = c*L + s
     # steps from phase ph factors as (anchor product)^c times a partial run.
     # Per-level norm products would be too weak (conditioning of canonical
     # reductions does not telescope level by level but cancels in products),
-    # so the period is unrolled to a length L where the full anchor products
-    # contract from every phase.  The run (M_{ph+s}^* ... M_{ph+1}^*)^{-1}
-    # is the transpose of the prefix M_{ph+1}^{-1} ... M_{ph+s}^{-1}, with
-    # the same norm.
-    unroll = 1
-    while True:
-        length = unroll * r
-        growth = Fraction(0)
-        anchor_runs: list[Fraction] = []
-        all_anchors_contract = True
-        for phase in range(r):
-            prefixes = accumulate(islice(cycle(period), phase, phase + length), mul)
-            runs = list(map(operator_norm_upper, prefixes))
-            growth = max(growth, *runs)
-            if runs[-1] >= 1:
-                all_anchors_contract = False
-            if phase == 0:
-                anchor_runs = runs
-        if all_anchors_contract:
+    # so the period is unrolled 1, 2, 4, ..., 256 times, to the first L where
+    # the anchor products contract from every phase.  The run
+    # (M_{ph+s}^* ... M_{ph+1}^*)^{-1} has the norm of its transpose, the
+    # prefix M_{ph+1}^{-1} ... M_{ph+s}^{-1}; M^{-1} is the transpose of the
+    # table's [[a, b], [c, d]] / den, so a prefix is an integer product over
+    # a product of dens.
+    period = [(Mat2(a, c, b, d), den) for a, b, c, d, den, _ in levels[p:]]
+    r = len(period)
+    for length in (r << k for k in range(9)):
+        runs = [
+            list(map(operator_norm_upper, accumulate(mats, mul), accumulate(dens, mul)))
+            for mats, dens in (zip(*islice(cycle(period), ph, ph + length)) for ph in range(r))
+        ]
+        if all(run[-1] < 1 for run in runs):
             break
-        unroll *= 2
-        if unroll > 256:
-            raise SystemInvalid(_NO_CONTRACTION)
+    else:
+        raise SystemInvalid(_NO_CONTRACTION)
+    growth, anchor_runs = max(map(max, runs)), runs[0]
     anchor = anchor_runs[-1]
-    tail_sum = sum(anchor_runs[1:], anchor_runs[0])
-    tail_sq_sum = sum((b * b for b in anchor_runs[1:]), anchor_runs[0] * anchor_runs[0])
+    tail_sum, tail_sq_sum = sum(anchor_runs), sum(b * b for b in anchor_runs)
     zero_floor_sq = min(zero_norm_floor(d) ** 2 for _, d in sys.distinct())
     gamma = float(max(sqrt_upper(d.max_norm_sq()) for _, d in sys.distinct()))
     contraction = float(anchor)
@@ -393,7 +387,7 @@ def _analysis(sys: MoranSystem) -> _Analysis:
     reach = nu + orbit if orbit < math.inf else nu  # nu: the exact orbit's
     return _Analysis(
         levels=EventuallyPeriodic(levels[:p], levels[p:]),
-        float_levels=EventuallyPeriodic(float_levels[:p], float_levels[p:] * unroll),
+        float_levels=EventuallyPeriodic(float_levels[:p], float_levels[p:] * (length // r)),
         preperiod_growth=preperiod_growth,
         anchor_step=contraction * (1.0 + 1e-12),
         tail_linear=TWO_PI * math.sqrt(mean_sq) * geo1,
@@ -858,40 +852,38 @@ def _zero_scan(
     once no later level can vanish there.
 
     The scan is level-major: the level table is walked once for the block,
-    and at each level the points still undecided are mapped together.  Their
-    orbits are carried as integer numerators over one denominator, reduced
-    by the gcd of the whole block, so a hit need not be in lowest terms.
-    Each level's zero test (`mask.zero_kernel`, chosen once by `_analysis`)
-    and the stop test run on those integers, and neither depends on how a
-    point is scaled, so every point is decided at the level a block of one
-    would decide it.  Raises CapExceeded when a point is undecided past
-    MAX_SCAN_LEVELS levels.
+    and at each level one pass over the points still undecided maps each
+    one, runs the level's zero test (`mask.zero_kernel`, chosen once by
+    `_analysis`) and the stop test, and keeps the survivors.  Orbits are
+    integer numerators over one denominator, reduced after the pass by the
+    gcd of the survivors, so a hit need not be in lowest terms.  Neither
+    test depends on how a point is scaled, so every point is decided at the
+    level a block of one would decide it.  Raises CapExceeded when a point
+    is undecided past MAX_SCAN_LEVELS levels.
     """
     hits: list[Optional[_ZeroHit]] = [None] * len(xs)
-    live: Sequence[int] = range(len(xs))
+    live = list(zip(range(len(xs)), xs, ys))
     scale = ana.stop_scale
     for j, (a, b, c, d, level_den, zero) in enumerate(ana.levels, 1):
         if j > MAX_SCAN_LEVELS:
             raise CapExceeded("zero scan exceeded hard cap")
-        xs, ys = [a * x + b * y for x, y in zip(xs, ys)], [c * x + d * y for x, y in zip(xs, ys)]
         den *= level_den
-        g = math.gcd(den, *xs, *ys)
-        if g > 1:
-            den //= g
-            xs, ys = [x // g for x in xs], [y // g for y in ys]
         # No point stops inside the preperiod: a floor of 0 keeps them all.
         floor = ana.stop_floor * den * den if j >= ana.preperiod_len else 0
-        live_next, xs_next, ys_next = [], [], []
-        for k, x, y in zip(live, xs, ys):
+        survivors, g = [], den
+        for k, x, y in live:
+            x, y = a * x + b * y, c * x + d * y
             if zero(x, y, den):
                 hits[k] = (j, x, y, den)
             elif (x * x + y * y) * scale >= floor:
-                live_next.append(k)
-                xs_next.append(x)
-                ys_next.append(y)
-        if not live_next:
+                survivors.append((k, x, y))
+                g = math.gcd(g, x, y)
+        if not survivors:
             break
-        live, xs, ys = live_next, xs_next, ys_next
+        if g > 1:
+            den //= g
+            survivors = [(k, x // g, y // g) for k, x, y in survivors]
+        live = survivors
     return hits
 
 

@@ -722,24 +722,27 @@ ZERO_SCAN_SYSTEMS = {
 
 @settings(max_examples=120)
 @seed(2525)
-@example("mixed", [], 3)
-@example("mixed reduced", [(3, -6)], 4)
-@example("sum16", [(0, 0), (1, 0), (6, 6), (-60, 12), (1, 7)], 12)
+@example("mixed", [], 3, 2)
+@example("mixed reduced", [(3, -6)], 4, 6)
+@example("sum16", [(0, 0), (1, 0), (6, 6), (-60, 12), (1, 7)], 12, 35)
 @given(
     st.sampled_from(sorted(ZERO_SCAN_SYSTEMS)),
     st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)), max_size=12),
     st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 24]),
+    st.integers(1, 36),
 )
-def test_block_zero_scan_matches_fraction_scan(name, block, den):
+def test_block_zero_scan_matches_fraction_scan(name, block, den, k):
     """Each point (x, y) / den of a block over one shared denominator gets
     the level and witness of the Fraction scan of that point alone, or None
     where that scan finds none; so does the block of its first point, and
-    the empty block gets no entry."""
+    the empty block gets no entry.  The block scaled by k, (k x, k y) /
+    (k den), gets the same levels, witnesses and Nones: the scan's tests do
+    not depend on how a point is scaled."""
     sysm = ZERO_SCAN_SYSTEMS[name]
     ana = moran._analysis(sysm)
 
-    def scan(points):
-        hits = moran._zero_scan(ana, [x for x, _ in points], [y for _, y in points], den)
+    def scan(points, k=1):
+        hits = moran._zero_scan(ana, [k * x for x, _ in points], [k * y for _, y in points], k * den)
         assert len(hits) == len(points)
         return [hit and (hit[0], (Fraction(hit[1], hit[3]), Fraction(hit[2], hit[3]))) for hit in hits]
 
@@ -748,6 +751,7 @@ def test_block_zero_scan_matches_fraction_scan(name, block, den):
         ref = _reference_zero_scan(sysm, (Fraction(x, den), Fraction(y, den)))
         assert hit == (ref and (ref.level, ref.witness)), (name, x, y, den)
     assert scan(block[:1]) == got[:1]
+    assert scan(block, k) == got, (name, k)
 
 
 def test_oracle_matches_per_pair_unity_sums():

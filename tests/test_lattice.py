@@ -139,6 +139,22 @@ def test_certified_norm_bounds_dominate_svd(m):
     assert float(inverse_norm_upper(m)) <= (1.0 / sig.min()) * (1 + 1e-6)
 
 
+def test_operator_norm_over_a_denominator_is_the_fraction_matrix_bound():
+    """operator_norm_upper(n, den) is operator_norm_upper of the Fraction
+    matrix n / den, the same Fraction, on seeded integer matrices: products
+    of 1 to 64 of them over products of their denominators, as the run
+    norms of the period analysis take them."""
+    rng = random.Random(2727)
+    for _ in range(300):
+        count = rng.choice([1, 2, 8, 64])
+        n = mat_product(Mat2(*(rng.randint(-9, 9) for _ in range(4))) for _ in range(count))
+        den = math.prod(rng.randint(1, 30) for _ in range(count))
+        want = operator_norm_upper(Mat2(*(Fraction(e, den) for e in n.entries())))
+        got = operator_norm_upper(n, den)
+        assert type(got) is Fraction and got == want, (n, den)
+    assert operator_norm_upper(Mat2(6, 0, 0, -6), 6) == 1
+
+
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 stage_lists = st.lists(
     st.lists(st.tuples(small_fracs, small_fracs), min_size=1, max_size=3), min_size=1, max_size=3)
