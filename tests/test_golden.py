@@ -11,6 +11,7 @@ the file it replaces, with the first case that moved:
     PYTHONPATH=src python tests/test_golden.py --write [family ...]
 """
 
+import hashlib
 import json
 import math
 import random
@@ -31,11 +32,13 @@ from moranspectra.digitsets import (
     scaled_canonical,
     sum_set,
 )
-from moranspectra.lattice import Mat2, is_expanding
+from moranspectra.lattice import Mat2, digit_expansion, is_expanding
 from moranspectra.mask import digit_mask_zero
 from moranspectra.moran import (
     MoranSystem,
     SystemInvalid,
+    attractor_points,
+    attractor_stages,
     conjugate_system,
     fourier,
     fourier_many,
@@ -78,6 +81,11 @@ SYSTEMS = {
     "mixed reduced": reduce_canonical(MIXED),
     # No zero digit in front: the mask sum starts from 0j.
     "generic": MoranSystem.constant(Mat2(0, 2, -2, 0), GenericDigitSet(((1, 0), (0, 0), (0, 1)))),
+    "mixed": MIXED,
+    # A Fraction first matrix, (2/9) I.
+    "9to3 reduced": reduce_canonical(BASES["9to3"]),
+    # Numerators near 10^24 at depth 4.
+    "big shear": MoranSystem.constant(Mat2(2, 10**6, 0, 2), D0),
 }
 FOURIER_NAMES = ("2I", "shear", "rot3", "9to3", "sum16", "mixed reduced", "generic")
 # Prime denominators coprime to every det and digit scale above: a point
@@ -88,6 +96,9 @@ PRIME_SHIFTS = ((Fraction(1, 11), 0), (0, Fraction(1, 13)), (Fraction(1, 17), Fr
 # holding it is too sparse for the bitset of `difference_set`.
 FAR = (12**3 * 10, 0)
 EPS = (1e-6, 1e-8, 1e-12)
+# A point set of more points is stored as its count and the sha256 of its
+# numerators, which keeps the fixture under 1 MiB.
+INLINE_POINTS = 256
 
 
 def _system(spec):
@@ -196,6 +207,55 @@ def _completeness_inputs():
 
 def _completeness(case, sets):
     return {"q": completeness_sum(BASES["2I"], sets[case["points"]], tuple(case["xi"]), case["eps"])}
+
+
+def _towers_inputs():
+    """Towers and attractor points at depths 1-4 and lattice spectra in
+    boxes 3, 8 and 16 of 22 systems: the certify systems, unconjugated and
+    under both conjugators, and the Fourier, mixed, reduced 9to3 and big
+    shear systems.  Each refusal is an output too.  The big shear has no
+    lattice case: `build_lattice_spectrum` walks the bounding box of the
+    preimage of the box, some 10^6 times the points it keeps, and takes
+    seconds in box 3."""
+    specs = [[base, q] for base, q in product(BASES, (None, *CONJUGATORS))]
+    specs += [[name, None] for name in ("mixed", "mixed reduced", "9to3 reduced", "rot3", "sum16",
+                                        "generic", "big shear")]
+    sizes = {"tower": (1, 2, 3, 4), "attractor": (1, 2, 3, 4), "lattice": (3, 8, 16)}
+    cases = [{"system": spec, "kind": kind, "size": size}
+             for spec in specs for kind in sizes for size in sizes[kind]
+             if not (kind == "lattice" and spec[0] == "big shear")]
+    return {}, cases
+
+
+def _numerators(ints, q):
+    """Points (x, y) / q as stored: inline, or as count and sha256 past INLINE_POINTS."""
+    ints = [[x, y] for x, y in ints]
+    if len(ints) <= INLINE_POINTS:
+        return {"q": q, "ints": ints}
+    digest = hashlib.sha256(json.dumps(ints).encode()).hexdigest()
+    return {"q": q, "count": len(ints), "sha256": digest}
+
+
+def _towers(case, sets):
+    """The exact points as integer numerators over q, reduced, in the order
+    returned; for towers and lattices whether every coordinate is a
+    Fraction, and for attractor points whether `attractor_points` returns
+    each exact coordinate correctly rounded."""
+    sysm, kind, size = _system(case["system"]), case["kind"], case["size"]
+    try:
+        if kind == "attractor":
+            ints, q = digit_expansion(attractor_stages(sysm, size))
+            rounded = attractor_points(sysm, size) == [(x / q, y / q) for x, y in ints]
+            return {"points": _numerators(ints, q), "rounded": rounded}
+        if kind == "tower":
+            pts = enumerate_tower(build_tower(sysm), size)
+        else:
+            pts = build_lattice_spectrum(sysm, size)
+    except ValueError as exc:
+        return {"refused": f"{type(exc).__name__}: {exc}"}
+    enc = _encode(pts)
+    fractions = all(type(c) is Fraction for p in pts for c in p)
+    return {"points": _numerators(enc["ints"], enc["q"]), "fractions": fractions}
 
 
 def _survey_texts():
@@ -313,6 +373,7 @@ FAMILIES = {
     "completeness": (_completeness_inputs, _completeness, {"q": 1e-13}),
     "zero": (_zero_inputs, _zero, {}),
     "fourier": (_fourier_inputs, _fourier, {"fourier value": 1e-14, "fourier_many value": 1e-14}),
+    "towers": (_towers_inputs, _towers, {}),
 }
 
 
