@@ -131,10 +131,14 @@ def _parse_digits(text: str, line: int) -> DigitSet:
         if kind == "generic" and len(parts) >= 2:
             pts = []
             for tok in parts[1:]:
-                x, y = _parse_point(tok, line)
-                if x.denominator != 1 or y.denominator != 1:
-                    raise ConfigError(line, "generic digits must be integer points")
-                pts.append((int(x), int(y)))
+                try:
+                    x, y = map(int, tok.split(","))
+                except ValueError:  # not two ints: the rational parser says why
+                    x, y = _parse_point(tok, line)
+                    if x.denominator != 1 or y.denominator != 1:
+                        raise ConfigError(line, "generic digits must be integer points")
+                    x, y = int(x), int(y)
+                pts.append((x, y))
             return GenericDigitSet(tuple(pts))
     except ConfigError:
         raise

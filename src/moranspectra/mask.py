@@ -130,19 +130,6 @@ def unity_sum_is_zero_ints(numerators: Iterable[int], q: int) -> bool:
 # --- exact mask zero tests -------------------------------------------------
 
 
-def structured_zero_ints(digits: StructuredDigitSet, nx: int, ny: int, den: int) -> bool:
-    """Exact zero test for structured sets at xi = (nx, ny) / den, den > 0:
-    2 Q^t xi must be an integer vector outside 2 Z^2 (via
-    m_D(xi) = m_D0(Q^t xi)), decided on integer numerators alone."""
-    ax, ay = digits.alpha
-    bx, by = digits.beta
-    u = 2 * (ax * nx + ay * ny)
-    v = 2 * (bx * nx + by * ny)
-    if u % den or v % den:
-        return False
-    return (u // den) % 2 == 1 or (v // den) % 2 == 1
-
-
 def generic_zero_ints(digits: DigitSet, nx: int, ny: int, den: int) -> bool:
     """Exact zero test for any finite digit set at xi = (nx, ny) / den,
     den > 0: the unit-root sum of the numerators dx nx + dy ny over den."""
@@ -150,11 +137,22 @@ def generic_zero_ints(digits: DigitSet, nx: int, ny: int, den: int) -> bool:
 
 
 def zero_kernel(digits: DigitSet) -> Callable[[int, int, int], bool]:
-    """The digit set's exact zero test at (nx, ny) / den: the structured
-    closed form where it applies, the unit-root sum otherwise."""
-    if isinstance(digits, StructuredDigitSet):
-        return partial(structured_zero_ints, digits)
-    return partial(generic_zero_ints, digits)
+    """The digit set's exact zero test at (nx, ny) / den, den > 0: the
+    structured closed form where it applies, the unit-root sum otherwise."""
+    if not isinstance(digits, StructuredDigitSet):
+        return partial(generic_zero_ints, digits)
+    (ax, ay), (bx, by) = digits.alpha, digits.beta
+
+    def structured_zero(nx: int, ny: int, den: int) -> bool:
+        """2 Q^t xi must be an integer vector outside 2 Z^2 (via
+        m_D(xi) = m_D0(Q^t xi)), decided on integer numerators alone."""
+        u = 2 * (ax * nx + ay * ny)
+        v = 2 * (bx * nx + by * ny)
+        if u % den or v % den:
+            return False
+        return (u // den) % 2 == 1 or (v // den) % 2 == 1
+
+    return structured_zero
 
 
 def zero_norm_floor(digits: DigitSet) -> Fraction:

@@ -269,9 +269,10 @@ def _second_order(digits: DigitSet) -> tuple[float, float]:
 
 # Unit roundoff of IEEE double precision (round to nearest).
 _U = 2.0**-53
-# Assumed accuracy of a computed e^{it} (cmath.exp, numpy's complex exp):
-# each part within 4 ulps of the exact value, so within 4 sqrt(2) u <= 6 u
-# of it in modulus.
+# Assumed accuracy of a computed e^{it} (cmath.rect(1, t), which is cos t +
+# i sin t, the same floats as cmath.exp(it); numpy's complex exp): each part
+# within 4 ulps of the exact value, so within 4 sqrt(2) u <= 6 u of it in
+# modulus.
 _EXP_ERROR = 6.0
 
 
@@ -663,7 +664,7 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
         bound *= growth
     j, stride, step = ana.preperiod_len, ana.unrolled_len, ana.anchor_step
     per_level = ana.rounding_per_level
-    exp, i_two_pi = cmath.exp, _I_TWO_PI
+    rect = cmath.rect
     value = complex(1.0)
     fallback = None
     levels, period = ana.float_levels.preperiod, ana.float_levels.period
@@ -671,7 +672,7 @@ def fourier(sys: MoranSystem, xi, eps: float) -> FourierResult:
         for a, b, c, d, digits, n, acc in levels:
             x, y = a * x + b * y, c * x + d * y
             for dx, dy in digits:
-                acc += exp(i_two_pi * (dx * x + dy * y))
+                acc += rect(1.0, TWO_PI * (dx * x + dy * y))
             value *= acc / n
         if bound <= screen or x * x + y * y <= screen_sq:
             tail = _tail(ana, _anchor_bound(bound, x * x + y * y, orbit_norm))

@@ -17,6 +17,15 @@ Two constructions with deliberately different labels:
   completeness proof; it refuses systems whose scales fail the divisibility
   criterion.
 
+Both return lists of Fraction pairs (one shared Fraction per numerator)
+that also carry their integer form, the numerators over one q that
+`digit_expansion` gives.  The exact checks run on integers:
+`verify_orthogonality` and `discrete_spectrum_oracle` read the carried form
+while the list still holds the very points it was built with and rescale
+any other list, a mutated one included.  The oracle counts each
+difference's residues mod q in one int, a slot per residue, while that
+takes at most 64 bits per atom, and in a dict past that.
+
 Completeness itself is never reported as a boolean: `completeness_sum`
 returns the truncated quadratic sum at a point with explicit tolerances.
 """
@@ -27,8 +36,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
-from operator import mul
+from itertools import accumulate, chain, compress, islice
+from operator import is_, mul
+from sys import byteorder
 from typing import Iterator, Optional, Sequence
 
 from .classify import SPECTRAL, classify_thm16, thm16_shape
@@ -123,7 +133,7 @@ def enumerate_tower(
     ints, q = digit_expansion([p.apply(f) for f in F2] for p in prefixes)
     if len(set(ints)) != len(ints):
         raise ValueError("tower enumeration produced duplicate points")
-    return [(Fraction(x, 2 * q), Fraction(y, 2 * q)) for x, y in ints]
+    return _ExactPoints(ints, 2 * q)
 
 
 def build_lattice_spectrum(
@@ -170,7 +180,35 @@ def build_lattice_spectrum(
                 if len(ints) > cap:
                     raise CapExceeded(f"lattice box {box} holds more than cap {cap} points")
     # den > 0, so sorting the numerators sorts the points.
-    return [(Fraction(x, den), Fraction(y, den)) for x, y in sorted(ints)]
+    return _ExactPoints(sorted(ints), den)
+
+
+class _ExactPoints(list):
+    """The points (x, y) / den, den > 0, as Fraction pairs, one shared
+    Fraction per distinct numerator, that carry their integer form: `ints`
+    and `q`, reduced by the gcd of den and every numerator, are what
+    `digit_expansion([points])` returns, and stay valid while the list
+    holds the very element objects it was built with, `snapshot`."""
+
+    __slots__ = ("ints", "q", "snapshot")
+
+    def __init__(self, ints: list[tuple[int, int]], den: int):
+        g = math.gcd(den, *chain.from_iterable(ints))
+        if g > 1:
+            ints, den = [(x // g, y // g) for x, y in ints], den // g
+        fractions = {n: Fraction(n, den) for n in set(chain.from_iterable(ints))}
+        super().__init__((fractions[x], fractions[y]) for x, y in ints)
+        self.ints, self.q, self.snapshot = ints, den, tuple(self)
+
+
+def _numerators(points: Sequence[Vec2]) -> tuple[list[tuple[int, int]], int]:
+    """`digit_expansion([points])`: read off an `_ExactPoints` that still
+    holds its own elements, so any mutation (an assignment, a sort, even
+    `list.__setitem__`) falls back to the rescale."""
+    if (isinstance(points, _ExactPoints) and len(points) == len(points.snapshot)
+            and all(map(is_, points, points.snapshot))):
+        return points.ints, points.q
+    return digit_expansion([points])
 
 
 @dataclass(frozen=True)
@@ -188,7 +226,8 @@ def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> Orthogonal
     """Certify that every difference of distinct points lies in the zero set.
 
     The points are scaled once to integer numerators over one common
-    denominator q.  The zero set is symmetric under negation, so each
+    denominator q, or read off a tower or lattice that still holds the
+    points it was built with.  The zero set is symmetric under negation, so each
     distinct sign-canonical difference is certified once, by the block zero
     scan of `fourier_zero_exact`, and none is scanned twice.  A dense set
     scans all the differences of `difference_set` as one block; if all pass,
@@ -200,7 +239,7 @@ def verify_orthogonality(sys: MoranSystem, points: Sequence[Vec2]) -> Orthogonal
     result is that of the pair walk: the first failing pair in enumeration
     order, the pairs walked up to it, and the distinct differences met.
     """
-    ints, q = digit_expansion([points])
+    ints, q = _numerators(points)
     if len(set(ints)) != len(ints):
         raise ValueError("candidate spectrum has repeated points")
     n = len(ints)
@@ -343,6 +382,42 @@ def _residue_counts(stages: list[list[tuple[int, int]]], dx: int, dy: int, q: in
     return counts
 
 
+# Packed counts give each residue mod q one w-bit slot of a Python int, w
+# the narrowest memoryview item with 2^w > 2 size, so no slot carries into
+# the next and a new pattern decodes in one C-level pass over q slots.  Each
+# stage costs #stage shift-adds of w q bits, against #stage times the
+# residues so far for the dict of `_residue_counts`.  Measured on the 2I and
+# 4I stages at levels 2-6 with q up to 10^6 (min of 3 x 20 calls): the
+# shift-adds alone break even with the dict near 250 bits per atom, and
+# shift-adds plus a decode, as when every pattern is new, near 30-60.  At
+# 64 bits per atom a repeated pattern costs a seventh to a third of the
+# dict, and the level-3 [[4,2],[2,4]] tower (54 bits per atom) still packs.
+_PACKED_BITS_PER_ATOM = 64
+_SLOT_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _packed_counts(stages: list[list[tuple[int, int]]], dx: int, dy: int, q: int, w: int) -> int:
+    """The counts of `_residue_counts` as one int, count k in bits
+    [w k, w (k + 1)): each stage adds the int shifted by w r for each of its
+    residues r, and the slots past q fold back onto 0, 1, ... .  No count
+    exceeds the atom count, below 2^w, so the adds never carry."""
+    width = w * q
+    low = (1 << width) - 1
+    packed = 1
+    for stage in stages:
+        merged = 0
+        for sx, sy in stage:
+            merged += packed << w * ((sx * dx + sy * dy) % q)
+        packed = (merged & low) + (merged >> width)
+    return packed
+
+
+def _unpacked(packed: int, q: int, w: int) -> dict[int, int]:
+    """The dict of `_residue_counts` (nonzero counts by residue) from packed counts."""
+    slots = memoryview(packed.to_bytes(w * q // 8, byteorder)).cast(_SLOT_FORMATS[w])
+    return dict(zip(compress(range(q), slots), filter(None, slots)))
+
+
 def discrete_spectrum_oracle(
     sys: MoranSystem,
     n: int,
@@ -358,12 +433,14 @@ def discrete_spectrum_oracle(
     sign-canonical d of `difference_set` (of the walk `distinct_differences`
     for a candidate too sparse for the bitset, or with a repeated point,
     whose zero difference the bitset drops) the counts are built stage by
-    stage.  Each count pattern is decided once: its exact vanishing
-    (`unitary`) and its modulus, summed in residue order, so `residual`, the
-    largest off-diagonal |H*H| entry, depends only on the candidate set.
-    The pattern memo is cleared once its keys hold 16 size residues, so
-    memory stays O(size) for any q.  A candidate whose size is not the atom
-    count is refused before any atom is built.
+    stage: packed into one int (`_packed_counts`) while that takes at most
+    64 bits per atom, in a dict (`_residue_counts`) past that.  Each count
+    pattern is decided once: its exact vanishing (`unitary`) and its
+    modulus, summed in residue order, so `residual`, the largest
+    off-diagonal |H*H| entry, depends only on the candidate set.  The
+    pattern memo is cleared once its keys hold 16 size residues or 8,192
+    size bits, so memory stays O(size) for any q.  A candidate whose size
+    is not the atom count is refused before any atom is built.
     """
     if n < 1:
         raise ValueError(f"oracle level must be >= 1, got {n}")
@@ -374,23 +451,30 @@ def discrete_spectrum_oracle(
     atoms_i, _ = digit_expansion(stages)
     if len(set(atoms_i)) != size:
         raise ValueError("level-n convolution atoms collide; weights would merge")
-    pts_i, ql = digit_expansion([candidate])
+    pts_i, ql = _numerators(candidate)
     q = qs * ql
+    w = next((w for w in _SLOT_FORMATS if w > size.bit_length()), 0)  # 0: no item holds size
+    key_bits = w * q if 0 < w * q <= _PACKED_BITS_PER_ATOM * size else 0  # 0: counts in a dict
     unitary, largest = True, 0.0
-    moduli: dict[frozenset, float] = {}  # count pattern -> |sum_k c_k e(k/q)|
+    moduli: dict[object, float] = {}  # count pattern -> |sum_k c_k e(k/q)|
     stored = 0  # residues held by the patterns in `moduli`
     diffs = difference_set(pts_i) if len(set(pts_i)) == size else None
     pairs = zip(*diffs) if diffs else ((dx, dy) for _, dx, dy in distinct_differences(pts_i))
     for dx, dy in pairs:
-        counts = _residue_counts(stages, dx, dy, q)
-        # size distinct residues all count 1, so they alone are the pattern
-        pattern = frozenset(counts if len(counts) == size else counts.items())
+        if key_bits:
+            pattern = _packed_counts(stages, dx, dy, q, w)
+        else:
+            counts = _residue_counts(stages, dx, dy, q)
+            # size distinct residues all count 1, so they alone are the pattern
+            pattern = frozenset(counts if len(counts) == size else counts.items())
         modulus = moduli.get(pattern)
         if modulus is None:
+            if key_bits:
+                counts = _unpacked(pattern, q, w)
             unitary = unitary and _vanishes(counts, q)
             # O(size) memory for any q; the level-3 tower patterns of 4I and
             # [[4,2],[2,4]] hold under 10 size residues, so none is decided twice.
-            if stored > 16 * size:
+            if stored > 16 * size or len(moduli) * key_bits > 8192 * size:
                 moduli.clear()
                 stored = 0
             terms = (c * cmath.rect(1.0, TWO_PI * k / q) for k, c in sorted(counts.items()))

@@ -19,7 +19,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import float_rows
-from moranspectra import moran
+from moranspectra import moran, spectra
 from moranspectra.config import ConfigError, parse_config
 from moranspectra.digitsets import (
     GenericDigitSet,
@@ -623,8 +623,6 @@ def test_orthogonality_scans_each_difference_once_in_order(monkeypatch):
     more.  A set over the guard scans the walk's differences in blocks of
     1, 2, 4, ..., which concatenate to the walk's order and end with the
     block that holds the first failure."""
-    from moranspectra import spectra
-
     blocks = []
 
     def spy(ana, xs, ys, den):
@@ -787,23 +785,31 @@ def test_oracle_matches_per_pair_unity_sums():
 def test_stage_counts_equal_flat_atom_counts():
     """The oracle's residue counts, merged mod q stage by stage, equal the
     counts over the flat atoms of `digit_expansion` at levels 1-4, for integer
-    and rational matrices and a translated digit set without 0."""
+    and rational matrices and a translated digit set without 0; so do the
+    packed counts, decoded, both where the oracle packs them and past its
+    bit bound (the 4224 stages over 216 q' at level 3, for one)."""
     translated = GenericDigitSet(tuple((x + 3, y - 2) for x, y in D0.points()))
     systems = {name: CROSS_SYSTEMS[name] for name in ("2I", "shear", "4224", "9to3")}
     systems["mixed reduced"] = reduce_canonical(MIXED)
     systems["translated"] = MoranSystem.constant(I2, translated)
     assert not systems["mixed reduced"].preperiod[0][0].is_integral()
     rng = random.Random(707)
+    packed = set()
     for name, sysm in systems.items():
         for level in (1, 2, 3, 4):
             stages, qs = stage_numerators(attractor_stages(sysm, level))
             atoms, qa = digit_expansion(attractor_stages(sysm, level))
+            w = next(w for w in spectra._SLOT_FORMATS if w > len(atoms).bit_length())
             for ql in (1, 3, 10):
                 q = qs * ql
+                packed.add(w * q <= spectra._PACKED_BITS_PER_ATOM * len(atoms))
                 for _ in range(10):
                     dx, dy = rng.randint(-50, 50), rng.randint(-50, 50)
                     flat = Counter((ax * dx + ay * dy) * (qs // qa) % q for ax, ay in atoms)
                     assert _residue_counts(stages, dx, dy, q) == flat, (name, level, ql, dx, dy)
+                    counts = spectra._unpacked(spectra._packed_counts(stages, dx, dy, q, w), q, w)
+                    assert counts == flat, (name, level, ql, dx, dy)
+    assert packed == {True, False}
 
 
 # --- the float evaluator against its earlier scalar loop and mpmath ----------

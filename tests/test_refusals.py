@@ -49,11 +49,15 @@ GENERIC_CONFIG = "period:\n  matrix: 2 0 0 2\n  digits: generic 0,0 1,0 0,1 5,5\
     (CONST_2I + "hadamard:\n  companions: 0,0 1/0,1\n", 5, "bad rational point '1/0,1'"),
     ("period:\n  matrix: 2 0 0 2\n  digits: generic 0,0 1/2,0\n", 3,
      "generic digits must be integer points"),
+    ("period:\n  matrix: 2 0 0 2\n  digits: generic 0,0 a,b\n", 3, "bad rational point 'a,b'"),
+    ("period:\n  matrix: 2 0 0 2\n  digits: generic 0,0 1,0,1\n", 3,
+     "point must be x,y, got '1,0,1'"),
     ("period:\n  matrix: 2 0 0 2\n  digits: hexagonal 3\n", 3,
      "digits must be 'canonical' | 'scaled T' | 'structured A1 A2 B1 B2' | "
      "'generic x,y ...', got 'hexagonal 3'"),
 ], ids=["unknown key", "no colon", "digits first", "one-coordinate companion",
-        "zero-denominator companion", "rational generic digit", "unknown digits spec"])
+        "zero-denominator companion", "rational generic digit", "non-numeric generic digit",
+        "three-coordinate generic digit", "unknown digits spec"])
 def test_config_refusals(text, line, message):
     with pytest.raises(ConfigError) as err:
         parse_config(text)

@@ -16,7 +16,7 @@ from moranspectra.digitsets import (
     canonical_digits,
     scaled_canonical,
 )
-from moranspectra.lattice import Mat2
+from moranspectra.lattice import Mat2, digit_expansion
 from moranspectra.moran import (
     DET_AT_LEAST_4,
     EXPANDING,
@@ -332,6 +332,65 @@ class TestOrthogonality:
         transported = [qt_inv.apply(p) for p in lam]
         res = verify_orthogonality(conj, transported)
         assert res.ok
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Each mutation of a point list, with a point that is in no tower or lattice.
+PLANTED = (Fraction(1, 11), Fraction(0))
+MUTATIONS = {
+    "index": lambda pts: pts.__setitem__(3, PLANTED),
+    "slice": lambda pts: pts.__setitem__(slice(2, 4), [PLANTED, pts[2]]),
+    "append": lambda pts: pts.append(PLANTED),
+    "sort": lambda pts: pts.sort(key=lambda p: (-p[1], p[0])),
+    "reverse": lambda pts: pts.reverse(),
+    "list.__setitem__": lambda pts: list.__setitem__(pts, -1, PLANTED),
+}
+
+
+class TestCarriedIntegers:
+    """Towers and lattices carry their integer numerators, which the
+    checkers read only while the list is unchanged."""
+
+    BUILDS = {
+        "tower": (SYS2, 3, lambda: enumerate_tower(build_tower(SYS2), 3)),
+        "conjugated tower": (conjugate_system(SYS4, Mat2(2, 1, 1, 1)), 2,
+                             lambda: enumerate_tower(build_tower(conjugate_system(SYS4, Mat2(2, 1, 1, 1))), 2)),
+        "lattice": (SYS2, 3, lambda: build_lattice_spectrum(SYS2, 3)),
+    }
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_mutation_drops_the_carried_form(self, build, mutation):
+        sysm, level, make = self.BUILDS[build]
+        points = make()
+        MUTATIONS[mutation](points)
+        plain = list(points)
+        assert spectra._numerators(points) == digit_expansion([plain])
+        assert verify_orthogonality(sysm, points) == verify_orthogonality(sysm, plain)
+        assert (_outcome(discrete_spectrum_oracle, sysm, level, points)
+                == _outcome(discrete_spectrum_oracle, sysm, level, plain))
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_unchanged_result_is_read_as_carried(self, build):
+        sysm, _, make = self.BUILDS[build]
+        points = make()
+        ints, q = spectra._numerators(points)
+        assert (ints, q) == digit_expansion([list(points)])
+        assert ints is points.ints
+
+    def test_results_compare_equal_to_plain_lists(self):
+        tower = build_tower(SYS2)
+        points = enumerate_tower(tower, 3)
+        assert points == _fraction_tower(tower, 3) and _fraction_tower(tower, 3) == points
+        assert build_lattice_spectrum(SYS2, 4) == _fraction_lattice(SYS2, 4)
+        assert points[:] == list(points) and type(points[:]) is list
 
 
 class TestCompleteness:
